@@ -85,6 +85,24 @@ def effective_dimension(vectors: np.ndarray) -> int:
     return int(np.sum(diag > RANK_TOL * diag[0]))
 
 
+def _span_leverages(vecs: np.ndarray, gram: np.ndarray) -> np.ndarray:
+    """Row-wise <a, gram^+ a> restricted to the span of gram, from one eigh.
+
+    Raises OutOfSpan when a row has a component orthogonal to the span larger
+    than SPAN_TOL * max(1, ||a||).
+    """
+    evals, evecs = np.linalg.eigh(gram)
+    cutoff = max(float(evals[-1]) * EIG_FLOOR, 1e-300)
+    keep = evals > cutoff
+    proj = vecs @ evecs
+    residual = np.linalg.norm(proj[:, ~keep], axis=1)
+    ref = SPAN_TOL * np.maximum(1.0, np.linalg.norm(vecs, axis=1))
+    if np.any(residual > ref):
+        worst = int(np.argmax(residual / ref))
+        raise OutOfSpan(f"vector {worst} leaves the Gram span by {residual[worst]:.3g}")
+    return np.sum(proj[:, keep] ** 2 / evals[keep], axis=1)
+
+
 def weighted_norm_sq(a: np.ndarray, gram: np.ndarray) -> float:
     """<a, gram^+ a> restricted to the span of gram.
 
@@ -92,17 +110,7 @@ def weighted_norm_sq(a: np.ndarray, gram: np.ndarray) -> float:
     than SPAN_TOL * max(1, ||a||).
     """
     a = np.asarray(a, dtype=float)
-    gram = np.asarray(gram, dtype=float)
-    evals, evecs = np.linalg.eigh(gram)
-    cutoff = max(float(evals[-1]) * EIG_FLOOR, 1e-300)
-    keep = evals > cutoff
-    coords = evecs.T @ a
-    residual = 0.0 if keep.all() else float(np.linalg.norm(coords[~keep]))
-    if residual > SPAN_TOL * max(1.0, float(np.linalg.norm(a))):
-        raise OutOfSpan(f"vector leaves the Gram span by {residual:.3g}")
-    if not keep.any():
-        return 0.0
-    return float(np.sum(coords[keep] ** 2 / evals[keep]))
+    return float(_span_leverages(a[None, :], np.asarray(gram, dtype=float))[0])
 
 
 def _support_bound(r: int, support_constant: float) -> int:
@@ -246,7 +254,7 @@ def compute_design(
     w = _thin_support(coords, w, rank, _support_bound(rank, support_constant))
 
     gram_full = (vecs * w[:, None]).T @ vecs
-    gvalue = max(weighted_norm_sq(a, gram_full) for a in vecs)
+    gvalue = float(np.max(_span_leverages(vecs, gram_full)))
     if gvalue > 2.0 * rank + 1e-9:
         raise FailsToConverge(
             f"design certificate {gvalue:.4f} exceeds {2 * rank} "
@@ -257,7 +265,7 @@ def compute_design(
         actions=actions,
         weights=weights,
         gram=gram_full,
-        gvalue=float(gvalue),
+        gvalue=gvalue,
         effective_dim=rank,
         support_constant=support_constant,
     )

@@ -432,12 +432,9 @@ def run_sweep(
             lines.append(_manifest_line(by_cell[cell]))
     _atomic_write(manifest_path, b"".join(lines))
 
-    traces: dict[tuple[str, int], RegretTrace] = {}
-    for variant, seed in cells:
-        path = os.path.join(traces_dir, _trace_filename(variant, seed))
-        if os.path.exists(path):
-            with open(path) as fh:
-                traces[(variant, seed)] = RegretTrace.from_json_dict(json.load(fh))
+    # Only cells the manifest marks ok count: a trace file left over from an
+    # earlier run of a cell that has since failed is stale.
+    traces = _load_ok_traces(out_dir, [by_cell[c] for c in cells if c in by_cell])
 
     horizon = _schedule_of(config).horizon
     checkpoints = config.get("checkpoints", _default_checkpoints(horizon))
@@ -480,6 +477,15 @@ def _read_manifest(path: str) -> dict:
     return {"header": header, "cells": cells}
 
 
+def _load_ok_traces(out_dir: str, records: list[dict]) -> dict[tuple[str, int], RegretTrace]:
+    traces: dict[tuple[str, int], RegretTrace] = {}
+    for cell in records:
+        if cell["status"] == "ok":
+            with open(os.path.join(out_dir, cell["path"])) as fh:
+                traces[(cell["variant"], cell["seed"])] = RegretTrace.from_json_dict(json.load(fh))
+    return traces
+
+
 def load_sweep(out_dir: str) -> SweepResult:
     """Reconstruct a SweepResult from a finished sweep directory."""
     manifest = _read_manifest(os.path.join(out_dir, "manifest.json"))
@@ -489,15 +495,8 @@ def load_sweep(out_dir: str) -> SweepResult:
     validate_config(config)
     variants = _variants_of(config)
     seeds = _seeds_of(config)
-    traces: dict[tuple[str, int], RegretTrace] = {}
-    failures = []
-    for cell in manifest["cells"]:
-        if cell["status"] != "ok":
-            failures.append(cell)
-            continue
-        path = os.path.join(out_dir, cell["path"])
-        with open(path) as fh:
-            traces[(cell["variant"], cell["seed"])] = RegretTrace.from_json_dict(json.load(fh))
+    traces = _load_ok_traces(out_dir, manifest["cells"])
+    failures = [cell for cell in manifest["cells"] if cell["status"] != "ok"]
     horizon = _schedule_of(config).horizon
     checkpoints = config.get("checkpoints", _default_checkpoints(horizon))
     stats, survival = _aggregate(traces, variants, seeds, checkpoints)

@@ -18,7 +18,6 @@ EIG_FLOOR = 1e-12
 SPAN_TOL = 1e-8
 # Treat a top eigenvalue at numerical-noise scale as zero covariance.
 ZERO_COV_TOL = 1e-12
-POWER_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -37,27 +36,12 @@ class RobustEstimate:
     gram: np.ndarray | None = None
 
 
-def _top_eigenpair(cov: np.ndarray, max_iters: int | None = None) -> tuple[float, np.ndarray]:
-    """Leading eigenpair of a symmetric PSD matrix.
+def _top_eigenpair(cov: np.ndarray) -> tuple[float, np.ndarray]:
+    """Largest eigenvalue of a symmetric matrix and a unit eigenvector for it.
 
-    Power iteration with a deterministic start vector; falls back to a dense
-    eigendecomposition when the residual stagnates above POWER_TOL.
+    One dense `eigh`; with a repeated top eigenvalue the vector is some unit
+    vector of that eigenspace.
     """
-    p = cov.shape[0]
-    if max_iters is None:
-        max_iters = 10 * max(p, 10)
-    v = np.ones(p) / np.sqrt(p)
-    mu = 0.0
-    for _ in range(max_iters):
-        u = cov @ v
-        norm = np.linalg.norm(u)
-        if norm <= 0.0:
-            return 0.0, v
-        v_new = u / norm
-        mu = float(v_new @ cov @ v_new)
-        if np.linalg.norm(cov @ v_new - mu * v_new) <= POWER_TOL * max(mu, 1.0):
-            return mu, v_new
-        v = v_new
     evals, evecs = np.linalg.eigh(cov)
     return float(evals[-1]), evecs[:, -1]
 

@@ -148,6 +148,24 @@ def test_kiefer_wolfowitz_certificate():
     assert max(levs) <= (1 + tol) * design.effective_dim + 1e-9
 
 
+@pytest.mark.parametrize("d,k,rank", [
+    (2, 5, 2), (5, 50, 5), (10, 400, 10), (20, 2000, 20), (30, 3000, 30),
+    (6, 40, 3), (6, 500, 3),
+])
+def test_certificate_matches_per_action_leverages(d, k, rank):
+    # The certificate comes from one decomposition of the Gram; it must equal
+    # the largest per-action leverage.  rank < d puts every row in a random
+    # rank-dimensional subspace of R^d.
+    rng = np.random.default_rng(1000 * d + k)
+    basis, _ = np.linalg.qr(rng.normal(size=(d, rank)))
+    vecs = rng.normal(size=(k, rank)) @ basis.T
+    vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
+    design = compute_design(ActionSet(vecs), tol=0.25)
+    assert design.effective_dim == rank
+    levs = [weighted_norm_sq(a, design.gram) for a in vecs]
+    assert design.gvalue == pytest.approx(max(levs), rel=1e-12)
+
+
 def test_rank_deficient_action_set():
     rng = np.random.default_rng(9)
     basis, _ = np.linalg.qr(rng.normal(size=(6, 2)))

@@ -303,6 +303,37 @@ class TestRunSweep:
         assert len(errors) == 1
         assert errors[0]["error"].startswith("RuntimeError")
 
+    def test_rerun_ignores_stale_trace_of_failed_cell(self, tmp_path, monkeypatch):
+        config = small_config()
+        out = tmp_path / "s"
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(config))
+        run_sweep(config, str(out))
+        stale = out / "traces" / "vanilla_1.json"
+        assert stale.exists()
+
+        real = harness.run_cell
+
+        def flaky(cfg, variant, seed, base_dir=None):
+            if (variant, seed) == ("vanilla", 1):
+                raise RuntimeError("synthetic cell failure")
+            return real(cfg, variant, seed, base_dir)
+
+        monkeypatch.setattr(harness, "run_cell", flaky)
+        result = run_sweep(config, str(out))
+        assert stale.exists()  # the old file is still there, but must not count
+        assert ("vanilla", 1) not in result.traces
+        assert result.stats["vanilla"][200]["n_seeds"] == 1
+
+        rc = main(["run", "--config", str(cfg_path), "--out", str(out)])
+        assert rc == 1
+        run_csv = (out / "summary.csv").read_bytes()
+        rows = [line.split(",") for line in run_csv.decode().splitlines()[1:]]
+        col = SUMMARY_FIELDS.index("n_seeds")
+        assert {row[col] for row in rows if row[0] == "vanilla"} == {"1"}
+        assert main(["summarize", "--out", str(out)]) == 0
+        assert (out / "summary.csv").read_bytes() == run_csv
+
     def test_load_sweep_round_trips(self, tmp_path):
         config = small_config()
         out = str(tmp_path / "s")

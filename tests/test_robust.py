@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -6,11 +9,15 @@ from rpbandits.env import generate_instance
 from rpbandits.errors import SingularGram, TooManyRemoved
 from rpbandits.robust import (
     DEFAULT_CLEAN_SCALE_SQ,
+    _top_eigenpair,
     confidence_radius_bound,
     robust_least_squares,
     spectral_filter,
     vanilla_least_squares,
 )
+
+
+DATA_DIR = Path(__file__).parent / "data"
 
 
 def unit_rows(rng, k, d):
@@ -99,6 +106,53 @@ def test_filter_rejects_negative_lambda():
 def test_filter_empty_input():
     with pytest.raises(ValueError):
         spectral_filter(np.zeros((0, 2)), 1.0, np.random.default_rng(0))
+
+
+# ------------------------------------------------------------- _top_eigenpair
+
+
+def assert_top_eigenpair(cov, expected_mu, eigenspace):
+    mu, v = _top_eigenpair(np.asarray(cov, dtype=float))
+    assert isinstance(mu, float)
+    assert mu == pytest.approx(expected_mu, abs=1e-12)
+    assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
+    basis = np.asarray(eigenspace, dtype=float)
+    # v lies in the span of the given orthonormal eigenspace columns
+    assert np.linalg.norm(v - basis @ (basis.T @ v)) <= 1e-12
+
+
+def test_top_eigenpair_zero_matrix():
+    assert_top_eigenpair(np.zeros((3, 3)), 0.0, np.eye(3))
+
+
+def test_top_eigenpair_diagonal():
+    assert_top_eigenpair(np.diag([1.0, 3.0, 2.0]), 3.0, np.eye(3)[:, [1]])
+
+
+def test_top_eigenpair_repeated_top_eigenvalue():
+    assert_top_eigenpair(np.diag([5.0, 1.0, 5.0]), 5.0, np.eye(3)[:, [0, 2]])
+
+
+def test_top_eigenpair_one_by_one():
+    assert_top_eigenpair([[2.5]], 2.5, [[1.0]])
+
+
+def test_filter_golden_removal_stream():
+    # The golden was recorded with an earlier power-iteration eigensolver.
+    # Removals and iterations must match it exactly, since they pin the
+    # filter's rng stream; the final eigenvalue only to rounding, since a
+    # Rayleigh quotient and an eigh eigenvalue round differently.
+    golden = json.loads((DATA_DIR / "filter_golden.json").read_text())
+    rng = np.random.default_rng(20230421)
+    n, p, n_bad = 2000, 5, 200
+    pts = rng.normal(size=(n, p))
+    pts[:n_bad] = 8.0 * np.ones(p) / np.sqrt(p) + 0.5 * rng.normal(size=(n_bad, p))
+    pts = pts[rng.permutation(n)]
+    _, diag = spectral_filter(pts, 0.5, np.random.default_rng(7))
+    assert list(diag.removed_indices) == golden["removed_indices"]
+    assert diag.iterations == golden["iterations"]
+    assert diag.final_top_eigenvalue == pytest.approx(
+        float(golden["final_top_eigenvalue"]), rel=1e-14)
 
 
 # ------------------------------------------------------ robust_least_squares
