@@ -23,7 +23,6 @@ from .env import (
     BanditInstance,
     EnvOracle,
     LearnerEnv,
-    Observation,
     generate_instance,
     instantaneous_regret,
     load_instance,
@@ -66,11 +65,7 @@ from .policy import (
 from .privacy import (
     PrivacyParams,
     laplace_icdf,
-    m1_scale,
-    m2_scale,
-    privatize_m1,
-    privatize_m2,
-    sample_laplace,
+    laplace_scale,
 )
 from .robust import (
     FilterDiagnostics,
@@ -98,7 +93,6 @@ __all__ = [
     "FilterDiagnostics",
     "InvalidNu",
     "LearnerEnv",
-    "Observation",
     "OutOfSpan",
     "PrivacyParams",
     "RegretTrace",
@@ -119,13 +113,10 @@ __all__ = [
     "generate_instance",
     "instantaneous_regret",
     "laplace_icdf",
+    "laplace_scale",
     "load_action_set",
     "load_instance",
     "load_sweep",
-    "m1_scale",
-    "m2_scale",
-    "privatize_m1",
-    "privatize_m2",
     "robust_least_squares",
     "rng_from",
     "run_cell",
@@ -133,7 +124,6 @@ __all__ = [
     "run_nonrobust_elimination",
     "run_sweep",
     "run_vanilla_elimination",
-    "sample_laplace",
     "save_action_set",
     "save_instance",
     "seed_sequence",

@@ -5,7 +5,6 @@ import json
 import os
 import sys
 
-from .design import ActionSet
 from .env import generate_instance, save_instance
 from .errors import BanditError
 from .harness import (

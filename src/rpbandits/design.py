@@ -312,6 +312,19 @@ class Coreset:
     def support_size(self) -> int:
         return len(self.entries)
 
+    def clients(self) -> tuple[np.ndarray, np.ndarray]:
+        """Action index and play count of each reporting client, in play order.
+
+        A per-reward client (M1) reports one play, so an entry with n plays
+        is n clients of count 1.  An aggregating client (M2) reports the
+        mean of all plays of its entry.
+        """
+        actions = np.asarray([i for i, _ in self.entries], dtype=int)
+        counts = np.asarray([n for _, n in self.entries], dtype=int)
+        if self.model == "M1":
+            return np.repeat(actions, counts), np.ones(int(counts.sum()), dtype=int)
+        return actions, counts
+
 
 def build_coreset(design: Design, budget: int, model: str, nu: float | None = None) -> Coreset:
     """Round a design into integer play counts.

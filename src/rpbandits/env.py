@@ -5,10 +5,13 @@ independently intercepts each observation with probability alpha and replaces
 it according to its strategy; privacy noise is added afterwards by default
 (corrupt_stage "pre-privacy") or before the adversary acts ("post-privacy").
 
-Per-reward clients (M1) produce one report per play.  Aggregating clients
-(M2) average the n_a plays of their action and produce one report per
-distinct action; by default the adversary corrupts individual raw draws, and
-an aggregate-corruption mode corrupts the single averaged report instead.
+A batch is played by clients, each of which averages the n_a plays it holds
+and sends one report.  Per-reward clients (M1) hold a single play each, so
+every play is reported; aggregating clients (M2) hold all plays of one
+action, so there is one report per distinct action.  By default the
+adversary corrupts individual raw draws, and an aggregate-corruption mode
+corrupts the single averaged report instead; for a client of one play the
+two coincide.
 
 Randomness layout: every batch consumes one derived stream, drawing noise,
 corruption uniforms, and privacy uniforms as whole arrays in a fixed order.
@@ -18,12 +21,12 @@ across clients with results identical to sequential execution.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .design import ActionSet, Coreset
-from .privacy import PrivacyParams, laplace_icdf, m1_scale, m2_scale
+from .privacy import PrivacyParams, laplace_icdf, laplace_scale
 from .seeding import derive_entropy
 
 NOISE_KINDS = ("gaussian", "uniform", "zero")
@@ -109,7 +112,8 @@ class AdversaryConfig:
 
     Each observation is intercepted independently with probability alpha.
     With strategy "none" the interception flag is still drawn but the value
-    is left untouched, which keeps the mask observable in oracle records.
+    is left untouched, which keeps the mask observable in observe_batch's
+    corrupted flags.
     """
 
     alpha: float = 0.0
@@ -136,22 +140,6 @@ class AdversaryConfig:
             "corrupt_stage": self.corrupt_stage,
             "aggregate_corruption": self.aggregate_corruption,
         }
-
-
-@dataclass(frozen=True)
-class Observation:
-    """Oracle-level record of one report.
-
-    raw_reward is the clean value before corruption and privacy (for
-    aggregating clients: the clean mean of the batch).  reported_reward is
-    what the learner sees.  The corrupted flag and raw_reward never cross the
-    learner API; see LearnerEnv.
-    """
-
-    action_index: int
-    raw_reward: float
-    corrupted: bool
-    reported_reward: float
 
 
 def instantaneous_regret(instance: BanditInstance, action_index: int) -> float:
@@ -194,144 +182,72 @@ def _worst_arm_in(instance: BanditInstance, coreset: Coreset) -> int:
     return int(idxs[int(np.argmin(sub))])
 
 
-def observe_batch_m1(
+def observe_batch(
     instance: BanditInstance,
     coreset: Coreset,
     adversary: AdversaryConfig,
     privacy: PrivacyParams,
     rng: np.random.Generator,
-) -> list[Observation]:
-    """One report per scheduled play (per-reward clients)."""
-    idxs = np.concatenate([
-        np.full(count, idx, dtype=int) for idx, count in coreset.entries
-    ]) if coreset.entries else np.empty(0, dtype=int)
-    n = idxs.size
-    means = instance.mean_rewards[idxs]
-    clean = means + _noise_draws(instance.noise, n, rng)
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Play a coreset; one report per client (see Coreset.clients).
 
-    mask = np.zeros(n, dtype=bool)
-    if adversary.alpha > 0.0:
-        mask = rng.random(n) >= 1.0 - adversary.alpha
-    worst = _worst_arm_in(instance, coreset) if coreset.entries else 0
-    replacements = _corrupt_values(clean, idxs, adversary, worst)
-
-    if privacy.enabled:
-        noise_scale = m1_scale(privacy)
-        priv = laplace_icdf(rng.random(n), noise_scale)
-    else:
-        priv = np.zeros(n)
-
-    if adversary.corrupt_stage == "pre-privacy":
-        pre = np.where(mask, replacements, clean)
-        if privacy.clip is not None:
-            pre = np.clip(pre, -privacy.clip, privacy.clip)
-        reported = pre + priv if privacy.enabled else pre
-    else:
-        base = clean
-        if privacy.clip is not None:
-            base = np.clip(base, -privacy.clip, privacy.clip)
-        released = base + priv if privacy.enabled else base
-        post_replacements = _corrupt_values(released, idxs, adversary, worst)
-        reported = np.where(mask, post_replacements, released)
-
-    return [
-        Observation(
-            action_index=int(idxs[i]),
-            raw_reward=float(clean[i]),
-            corrupted=bool(mask[i]),
-            reported_reward=float(reported[i]),
-        )
-        for i in range(n)
-    ]
-
-
-def observe_batch_m2(
-    instance: BanditInstance,
-    coreset: Coreset,
-    adversary: AdversaryConfig,
-    privacy: PrivacyParams,
-    rng: np.random.Generator,
-) -> list[Observation]:
-    """One aggregated report per distinct action (aggregating clients).
-
-    By default the adversary corrupts individual raw draws before they are
-    averaged.  With aggregate_corruption=True (and always under the
+    Returns per-client arrays (action index, raw reward, corrupted flag,
+    reported reward).  The raw reward is the clean mean of the client's
+    plays before corruption and privacy; only the reported reward reaches
+    the learner.  By default the adversary corrupts individual raw draws
+    before they are averaged, and a client is flagged when any of its draws
+    was intercepted.  With aggregate_corruption=True (and always under the
     post-privacy stage, where raw draws are never released) a single
-    interception decision applies to the whole aggregated report.
+    interception decision applies to the whole report.
     """
-    counts = np.asarray([c for _, c in coreset.entries], dtype=int)
-    idxs = np.asarray([i for i, _ in coreset.entries], dtype=int)
-    k = idxs.size
+    actions, counts = coreset.clients()
+    k = actions.size
     total = int(counts.sum())
-    starts = np.concatenate([[0], np.cumsum(counts)[:-1]]) if k else np.empty(0, dtype=int)
-    play_idx = np.repeat(idxs, counts)
+    starts = np.cumsum(counts) - counts
+    play_actions = np.repeat(actions, counts)
 
-    means = instance.mean_rewards[play_idx]
-    draws = means + _noise_draws(instance.noise, total, rng)
-    clean_sums = np.add.reduceat(draws, starts) if k else np.empty(0)
-    clean_means = clean_sums / counts
+    draws = instance.mean_rewards[play_actions] + _noise_draws(instance.noise, total, rng)
+    raw = np.add.reduceat(draws, starts) / counts
 
     aggregate_mode = adversary.aggregate_corruption or adversary.corrupt_stage == "post-privacy"
     worst = _worst_arm_in(instance, coreset) if k else 0
-
+    mask = np.zeros(k if aggregate_mode else total, dtype=bool)
     if adversary.alpha > 0.0:
-        if aggregate_mode:
-            agg_mask = rng.random(k) >= 1.0 - adversary.alpha
-            raw_mask = np.zeros(total, dtype=bool)
-        else:
-            raw_mask = rng.random(total) >= 1.0 - adversary.alpha
-            agg_mask = np.add.reduceat(raw_mask.astype(int), starts) > 0 if k else np.empty(0, dtype=bool)
+        mask = rng.random(mask.size) >= 1.0 - adversary.alpha
+    if aggregate_mode:
+        corrupted = mask
+        values = raw
     else:
-        raw_mask = np.zeros(total, dtype=bool)
-        agg_mask = np.zeros(k, dtype=bool)
+        corrupted = np.logical_or.reduceat(mask, starts)
+        replaced = np.where(mask, _corrupt_values(draws, play_actions, adversary, worst), draws)
+        values = np.add.reduceat(replaced, starts) / counts
 
-    if not aggregate_mode and adversary.alpha > 0.0 and adversary.strategy != "none":
-        replaced = np.where(raw_mask, _corrupt_values(draws, play_idx, adversary, worst), draws)
-        agg_values = np.add.reduceat(replaced, starts) / counts
-    else:
-        agg_values = clean_means.copy()
-
+    priv = None
     if privacy.enabled:
-        priv = laplace_icdf(rng.random(k), 1.0) * np.asarray(
-            [m2_scale(privacy, int(c)) for c in counts]
-        ) if k else np.empty(0)
-    else:
-        priv = np.zeros(k)
+        priv = laplace_icdf(rng.random(k), 1.0) * laplace_scale(privacy, counts)
 
     if adversary.corrupt_stage == "pre-privacy":
-        pre = agg_values
-        if aggregate_mode and adversary.strategy != "none":
-            pre = np.where(agg_mask, _corrupt_values(agg_values, idxs, adversary, worst), agg_values)
-        if privacy.clip is not None:
-            pre = np.clip(pre, -privacy.clip, privacy.clip)
-        reported = pre + priv if privacy.enabled else pre
+        if aggregate_mode:
+            values = np.where(corrupted, _corrupt_values(values, actions, adversary, worst), values)
+        reported = _release(values, privacy, priv)
     else:
-        base = clean_means
-        if privacy.clip is not None:
-            base = np.clip(base, -privacy.clip, privacy.clip)
-        released = base + priv if privacy.enabled else base.copy()
-        if adversary.strategy != "none":
-            reported = np.where(agg_mask, _corrupt_values(released, idxs, adversary, worst), released)
-        else:
-            reported = released
+        released = _release(raw, privacy, priv)
+        reported = np.where(corrupted, _corrupt_values(released, actions, adversary, worst), released)
+    return actions, raw, corrupted, reported
 
-    return [
-        Observation(
-            action_index=int(idxs[j]),
-            raw_reward=float(clean_means[j]),
-            corrupted=bool(agg_mask[j]),
-            reported_reward=float(reported[j]),
-        )
-        for j in range(k)
-    ]
+
+def _release(values: np.ndarray, privacy: PrivacyParams, noise: np.ndarray | None) -> np.ndarray:
+    """What a client sends: its value, clipped if set, plus its privacy noise."""
+    if privacy.clip is not None:
+        values = np.clip(values, -privacy.clip, privacy.clip)
+    return values if noise is None else values + noise
 
 
 class EnvOracle:
-    """Test- and driver-side view: hidden parameter, gaps, and full records."""
+    """Test- and driver-side view: hidden parameter and gaps."""
 
     def __init__(self, instance: BanditInstance):
         self._instance = instance
-        self.observations: list[list[Observation]] = []
 
     @property
     def theta_star(self) -> np.ndarray:
@@ -344,17 +260,14 @@ class EnvOracle:
     def regret_of(self, action_index: int) -> float:
         return instantaneous_regret(self._instance, action_index)
 
-    def record(self, batch: list[Observation]) -> None:
-        self.observations.append(batch)
-
 
 class LearnerEnv:
     """Capability-restricted handle given to the learner.
 
-    The learner sees the action set and, per play_batch call, only
-    (action_index, reported_reward) pairs.  Everything else (theta*,
-    corruption flags, raw rewards) lives on the oracle object, which the
-    experiment driver uses for regret accounting and which tests inspect.
+    The learner sees the action set and, per play_batch call, only the
+    reported reward of each client.  Everything else (theta*, corruption
+    flags, raw rewards) stays with the environment; the oracle object gives
+    the experiment driver what it needs for regret accounting.
     """
 
     def __init__(
@@ -391,12 +304,7 @@ class LearnerEnv:
         coreset: Coreset,
         round_index: int,
         privacy: PrivacyParams,
-    ) -> list[tuple[int, float]]:
-        """Play a coreset; returns learner-visible (action, reward) pairs."""
+    ) -> np.ndarray:
+        """Play a coreset; returns each client's reported reward, in client order."""
         rng = self._batch_rng(round_index)
-        if coreset.model == "M2":
-            batch = observe_batch_m2(self._instance, coreset, self._adversary, privacy, rng)
-        else:
-            batch = observe_batch_m1(self._instance, coreset, self._adversary, privacy, rng)
-        self._oracle.record(batch)
-        return [(o.action_index, o.reported_reward) for o in batch]
+        return observe_batch(self._instance, coreset, self._adversary, privacy, rng)[3]

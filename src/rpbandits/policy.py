@@ -13,10 +13,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .design import Coreset, Design, build_coreset, compute_design
+from .design import Coreset, build_coreset, compute_design
 from .env import LearnerEnv
 from .errors import CheckpointOutOfRange, SingularGram, TooManyRemoved
-from .privacy import PrivacyParams, m1_scale, m2_scale
+from .privacy import PrivacyParams, laplace_scale
 from .robust import (
     DEFAULT_CLEAN_SCALE_SQ,
     FilterDiagnostics,
@@ -337,45 +337,35 @@ def _fit_coreset_to_budget(coreset: Coreset, budget: int) -> Coreset:
                    nu=coreset.nu)
 
 
-def _clean_scale_sq(model: str, privacy: PrivacyParams, coreset: Coreset) -> float:
+def _clean_scale_sq(privacy: PrivacyParams, client_counts: np.ndarray) -> float:
     """Filter budget scale for this batch: the clean default plus the variance
-    of whatever privacy noise the mechanism adds to each reported value."""
-    base = DEFAULT_CLEAN_SCALE_SQ
-    if model == "M1":
-        extra = 2.0 * (m1_scale(privacy) ** 2) if privacy.enabled else 0.0
-        return base + extra
-    min_count = min(n for _, n in coreset.entries)
-    extra = 2.0 * (m2_scale(privacy, min_count) ** 2) if privacy.enabled else 0.0
-    return base + extra
+    of the largest privacy noise the mechanism adds to a reported value,
+    which belongs to the client with the fewest plays."""
+    extra = 0.0
+    if privacy.enabled:
+        extra = 2.0 * (laplace_scale(privacy, int(client_counts.min())) ** 2)
+    return DEFAULT_CLEAN_SCALE_SQ + extra
 
 
 def _estimate(
-    model: str,
     estimator: str,
     coreset: Coreset,
-    reports: list[tuple[int, float]],
+    rewards: np.ndarray,
     active_vectors: np.ndarray,
     all_vectors: np.ndarray,
     privacy: PrivacyParams,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, FilterDiagnostics | None, bool]:
     """Parameter estimate for one round; returns (theta, diagnostics, fallback)."""
-    if model == "M2":
-        acts = np.stack([all_vectors[idx] for idx, _ in coreset.entries])
-        rewards = np.asarray([r for _, r in reports])
-    else:
-        acts = np.concatenate([
-            np.repeat(all_vectors[idx][None, :], n, axis=0)
-            for idx, n in coreset.entries
-        ])
-        rewards = np.asarray([r for _, r in reports])
+    client_actions, client_counts = coreset.clients()
+    acts = all_vectors[client_actions]
     if estimator == "vanilla":
         return vanilla_least_squares(acts, rewards), None, False
     try:
         est = robust_least_squares(
             acts, rewards, rng,
             query_actions=active_vectors,
-            clean_scale_sq=_clean_scale_sq(model, privacy, coreset),
+            clean_scale_sq=_clean_scale_sq(privacy, client_counts),
         )
         return est.theta, est.diagnostics, False
     except TooManyRemoved as exc:
@@ -413,17 +403,11 @@ def _run(
         budget = min(budgets[i - 1], remaining)
         sub = actions.subset(active)
         design = compute_design(sub, tol=0.25)
-        # Design indices are local to the active subset; map back to the
-        # instance's action indices before building the coreset.
-        remapped = Design(
-            actions=actions,
-            weights={active[j]: w for j, w in design.weights.items()},
-            gram=design.gram,
-            gvalue=design.gvalue,
-            effective_dim=design.effective_dim,
-            support_constant=design.support_constant,
-        )
-        coreset = build_coreset(remapped, budget, cfg.model, cfg.nu)
+        # Design indices are local to the active subset; map them back to
+        # the instance's action indices (active is ascending, so the entry
+        # order is unchanged).
+        local = build_coreset(design, budget, cfg.model, cfg.nu)
+        coreset = replace(local, entries=[(active[j], n) for j, n in local.entries])
         coreset = _fit_coreset_to_budget(coreset, remaining)
         if not coreset.entries:
             break
@@ -441,7 +425,7 @@ def _run(
         )
         try:
             theta, diag, fallback = _estimate(
-                cfg.model, estimator, coreset, reports,
+                estimator, coreset, reports,
                 active_vectors, all_vectors, privacy, filter_rng,
             )
             record.filter_diagnostics = diag

@@ -1,10 +1,11 @@
 """Local differential privacy for reported rewards.
 
-Per-reward clients (M1) release reward + Lap(2 / epsilon); aggregating
-clients (M2) average their n_a rewards and release mean + Lap(2 / (n_a *
-epsilon)).  Both rates come from a reward sensitivity of 2 (clean rewards
+A client that averages n_a plays releases mean + Lap(2 / (n_a * epsilon)).
+A per-reward client (M1) reports a single play (n_a = 1) and so releases
+reward + Lap(2 / epsilon); an aggregating client (M2) reports the mean of
+its n_a plays.  The rate comes from a reward sensitivity of 2 (clean rewards
 are modeled on [-1, 1]); if clipping to [-clip, clip] is enabled the
-sensitivity becomes 2 * clip and the scales adjust accordingly.
+sensitivity becomes 2 * clip and the scale adjusts accordingly.
 
 All Laplace noise is generated through one inverse-CDF transform of a single
 uniform draw so that a stream position fully determines the noise value.
@@ -51,51 +52,14 @@ def laplace_icdf(u: float | np.ndarray, scale: float) -> float | np.ndarray:
     return float(out) if np.isscalar(u) or np.asarray(u).ndim == 0 else out
 
 
-def sample_laplace(scale: float, rng: np.random.Generator, size: int | None = None):
-    """Laplace(0, scale) via the inverse CDF of uniform draws from rng."""
-    if size is None:
-        return laplace_icdf(rng.random(), scale)
-    return laplace_icdf(rng.random(size), scale)
+def laplace_scale(params: PrivacyParams, n_a: int | np.ndarray) -> float | np.ndarray:
+    """Laplace scale sensitivity / (n_a * epsilon) of a client averaging n_a plays.
 
-
-def _clipped(value: float, params: PrivacyParams) -> float:
-    if params.clip is None:
-        return value
-    return float(np.clip(value, -params.clip, params.clip))
-
-
-def m1_scale(params: PrivacyParams) -> float:
-    return params.sensitivity / params.epsilon
-
-
-def m2_scale(params: PrivacyParams, n_a: int) -> float:
-    if n_a < 1:
-        raise ValueError("n_a must be at least 1")
-    return params.sensitivity / (n_a * params.epsilon)
-
-
-def privatize_m1(reward: float, params: PrivacyParams, rng: np.random.Generator) -> float:
-    """Per-reward release: reward + Lap(sensitivity / epsilon).
-
-    The identity map when privacy is disabled (no rng consumption).
+    n_a may be an array of play counts, one per client; a per-reward client
+    has n_a = 1.
     """
-    if not params.enabled:
-        return float(reward)
-    return _clipped(float(reward), params) + sample_laplace(m1_scale(params), rng)
-
-
-def privatize_m2(
-    mean_reward: float,
-    n_a: int,
-    params: PrivacyParams,
-    rng: np.random.Generator,
-) -> float:
-    """Aggregated release: mean + Lap(sensitivity / (n_a * epsilon)).
-
-    The identity map when privacy is disabled (no rng consumption).
-    """
-    if n_a < 1:
+    counts = np.asarray(n_a)
+    if np.any(counts < 1):
         raise ValueError("n_a must be at least 1")
-    if not params.enabled:
-        return float(mean_reward)
-    return _clipped(float(mean_reward), params) + sample_laplace(m2_scale(params, n_a), rng)
+    out = params.sensitivity / (counts * params.epsilon)
+    return float(out) if out.ndim == 0 else out

@@ -19,7 +19,7 @@ from rpbandits.env import (
     BanditInstance,
     LearnerEnv,
     generate_instance,
-    observe_batch_m1,
+    observe_batch,
 )
 from rpbandits.harness import run_sweep
 from rpbandits.policy import (
@@ -29,7 +29,7 @@ from rpbandits.policy import (
     run_elimination,
     run_vanilla_elimination,
 )
-from rpbandits.privacy import PrivacyParams, m1_scale, m2_scale, sample_laplace
+from rpbandits.privacy import PrivacyParams, laplace_scale
 from rpbandits.robust import robust_least_squares, spectral_filter, vanilla_least_squares
 from rpbandits.seeding import rng_from, seed_sequence
 
@@ -182,25 +182,42 @@ def test_criterion_06_optimal_arm_survival():
     assert conditional_checks >= 100
 
 
+def _privacy_noise(priv, rng, size, n_a=None):
+    """Noise on `size` reports drawn through the environment's release path
+    on a zero-mean, zero-noise instance with no adversary, 1000 clients per
+    batch: per-reward (M1) clients when n_a is None, else aggregating (M2)
+    clients of n_a plays."""
+    per_batch = 1000
+    inst = BanditInstance(
+        theta_star=np.zeros(1), actions=ActionSet(np.ones((per_batch, 1))), noise="zero"
+    )
+    if n_a is None:
+        cs = Coreset(entries=[(0, per_batch)], budget=per_batch, model="M1")
+    else:
+        cs = Coreset(entries=[(i, n_a) for i in range(per_batch)], budget=per_batch * n_a,
+                     model="M2", nu=0.5)
+    return np.concatenate([
+        observe_batch(inst, cs, CLEAN, priv, rng)[3] for _ in range(size // per_batch)
+    ])
+
+
 def test_criterion_07_privacy_mechanism_distribution():
-    # 1e5 draws from each mechanism pass a KS test against Laplace at the
-    # prescribed scale (2/eps per reward, 2/(n_a eps) aggregated) at level
-    # 0.01, and doubling epsilon halves the IQR within 10%.
+    # 1e5 reports from each client model pass a KS test against Laplace at
+    # the prescribed scale (2/eps per reward, 2/(n_a eps) aggregated) at
+    # level 0.01, and doubling epsilon halves the IQR within 10%.
     priv = PrivacyParams(epsilon=0.8)
-    per_reward = sample_laplace(m1_scale(priv), rng_from("c7", "m1"), size=100_000)
-    assert m1_scale(priv) == pytest.approx(2.0 / 0.8)
+    per_reward = _privacy_noise(priv, rng_from("c7", "m1"), 100_000)
+    assert laplace_scale(priv, 1) == pytest.approx(2.0 / 0.8)
     assert stats.kstest(per_reward, stats.laplace(scale=2.0 / 0.8).cdf).pvalue > 0.01
 
     n_a = 40
-    aggregated = sample_laplace(m2_scale(priv, n_a), rng_from("c7", "m2"), size=100_000)
-    assert m2_scale(priv, n_a) == pytest.approx(2.0 / (n_a * 0.8))
+    aggregated = _privacy_noise(priv, rng_from("c7", "m2"), 100_000, n_a=n_a)
+    assert laplace_scale(priv, n_a) == pytest.approx(2.0 / (n_a * 0.8))
     assert stats.kstest(
         aggregated, stats.laplace(scale=2.0 / (n_a * 0.8)).cdf
     ).pvalue > 0.01
 
-    doubled = sample_laplace(
-        m1_scale(PrivacyParams(epsilon=1.6)), rng_from("c7", "m1-doubled"), size=100_000
-    )
+    doubled = _privacy_noise(PrivacyParams(epsilon=1.6), rng_from("c7", "m1-doubled"), 100_000)
     def iqr(x):
         return float(np.percentile(x, 75) - np.percentile(x, 25))
     assert iqr(per_reward) / iqr(doubled) == pytest.approx(2.0, rel=0.10)
@@ -249,11 +266,11 @@ def test_criterion_09_corruption_mask_concentration():
     # Anchor: the direct mask rule reproduces the environment's flags (zero
     # noise consumes no draws, so the mask uniforms come first).
     for probe in range(3):
-        obs = observe_batch_m1(
+        corrupted = observe_batch(
             inst, cs, adv, NO_PRIVACY, np.random.default_rng(seed_sequence("c9", probe))
-        )
+        )[2]
         mask = np.random.default_rng(seed_sequence("c9", probe)).random(10_000) >= 0.9
-        assert [o.corrupted for o in obs] == mask.tolist()
+        assert corrupted.tolist() == mask.tolist()
 
     bound = 3.0 * math.sqrt(0.1 * math.log(100.0) / 10_000)
     exceed = 0

@@ -1,0 +1,63 @@
+"""The benchmark's tracer still finds every name it wraps.
+
+perfbench/tracer.py wraps entry points at the names their callers look up
+(for example `rpbandits.env.laplace_icdf`), and `install` fails if one of
+them is gone.  Running it here makes a rename fail in the test suite rather
+than only in the benchmark.  It runs in a subprocess because `install`
+patches the modules for the whole process.
+"""
+
+import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+SCRIPT = textwrap.dedent("""
+    import json, sys
+    sys.path.insert(0, sys.argv[1])
+    from tracer import Tracer, install
+    from rpbandits import harness
+
+    tracer = Tracer(sys.argv[2])
+    install(tracer)
+    cells = {}
+    for model, threshold in (("M1", {}), ("M2", {"nu": 0.02})):
+        config = {
+            "version": 1,
+            "instance": {"generate": {"dim": 3, "num_actions": 10, "seed": 5}},
+            "schedule": {"horizon": 3000},
+            "model": model,
+            "adversary": {"alpha": 0.05, "strategy": "anti-optimal"},
+            "privacy": {"enabled": True, "epsilon": 1.0},
+            "threshold": {"delta": 0.05, "alpha": 0.05, **threshold},
+        }
+        before = tracer.counters["env.reports"]
+        trace = harness.run_cell(config, "robust", 0)
+        entries = [e for rec in trace.rounds if rec.coreset_entries
+                   for e in rec.coreset_entries]
+        cells[model] = {
+            "reports": tracer.counters["env.reports"] - before,
+            "clients": sum(n for _, n in entries) if model == "M1" else len(entries),
+        }
+    print(json.dumps({"spans": sorted({s[2] for s in tracer.spans}), "cells": cells}))
+""")
+
+
+def test_tracer_wraps_env_and_privacy(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run(
+        [sys.executable, "-c", SCRIPT, str(ROOT / "perfbench"), str(tmp_path / "spans")],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert "env.play_batch" in out["spans"]
+    assert "privacy.laplace_icdf" in out["spans"]
+    for model in ("M1", "M2"):
+        cell = out["cells"][model]
+        assert cell["clients"] > 0
+        assert cell["reports"] == cell["clients"], model

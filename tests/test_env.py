@@ -1,6 +1,10 @@
 """Environment tests: instances, corruption strategies, aggregation, and the
 oracle/learner capability split."""
 
+import itertools
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -14,12 +18,12 @@ from rpbandits.env import (
     generate_instance,
     instantaneous_regret,
     load_instance,
-    observe_batch_m1,
-    observe_batch_m2,
+    observe_batch,
     save_instance,
 )
-from rpbandits.privacy import PrivacyParams, laplace_icdf, m1_scale, m2_scale
+from rpbandits.privacy import PrivacyParams, laplace_icdf, laplace_scale
 
+DATA_DIR = Path(__file__).parent / "data"
 NO_PRIVACY = PrivacyParams(enabled=False)
 NO_ADVERSARY = AdversaryConfig()
 
@@ -135,23 +139,28 @@ class TestPerRewardClean:
     def test_zero_noise_reports_exact_means(self):
         inst = basis_instance([0.9, -0.3])
         cs = m1_coreset([(0, 3), (1, 2)])
-        obs = observe_batch_m1(inst, cs, NO_ADVERSARY, NO_PRIVACY, np.random.default_rng(0))
-        assert [o.action_index for o in obs] == [0, 0, 0, 1, 1]
-        assert [o.reported_reward for o in obs] == [0.9, 0.9, 0.9, -0.3, -0.3]
-        assert all(not o.corrupted for o in obs)
-        assert all(o.raw_reward == o.reported_reward for o in obs)
+        acts, raw, corrupted, reported = observe_batch(
+            inst, cs, NO_ADVERSARY, NO_PRIVACY, np.random.default_rng(0)
+        )
+        assert acts.tolist() == [0, 0, 0, 1, 1]
+        assert reported.tolist() == [0.9, 0.9, 0.9, -0.3, -0.3]
+        assert not corrupted.any()
+        np.testing.assert_array_equal(raw, reported)
 
     def test_gaussian_alpha_zero_never_flags(self):
         inst = basis_instance([0.5, 0.0], noise="gaussian")
         cs = m1_coreset([(0, 50), (1, 50)])
-        obs = observe_batch_m1(inst, cs, NO_ADVERSARY, NO_PRIVACY, np.random.default_rng(1))
-        assert all(not o.corrupted for o in obs)
-        assert all(o.raw_reward == o.reported_reward for o in obs)
+        _, raw, corrupted, reported = observe_batch(
+            inst, cs, NO_ADVERSARY, NO_PRIVACY, np.random.default_rng(1)
+        )
+        assert not corrupted.any()
+        np.testing.assert_array_equal(raw, reported)
 
     def test_empty_coreset_yields_no_observations(self):
         inst = basis_instance([0.5, 0.0])
         cs = Coreset(entries=[], budget=1, model="M1")
-        assert observe_batch_m1(inst, cs, NO_ADVERSARY, NO_PRIVACY, np.random.default_rng(0)) == []
+        batch = observe_batch(inst, cs, NO_ADVERSARY, NO_PRIVACY, np.random.default_rng(0))
+        assert [a.size for a in batch] == [0, 0, 0, 0]
 
 
 class TestPerRewardCorruption:
@@ -159,8 +168,8 @@ class TestPerRewardCorruption:
         inst = basis_instance([0.5, 0.0])
         cs = m1_coreset([(0, 500), (1, 500)])
         adv = AdversaryConfig(alpha=1e-9, strategy="constant", magnitude=50.0)
-        obs = observe_batch_m1(inst, cs, adv, NO_PRIVACY, np.random.default_rng(42))
-        assert sum(o.corrupted for o in obs) == 0
+        corrupted = observe_batch(inst, cs, adv, NO_PRIVACY, np.random.default_rng(42))[2]
+        assert corrupted.sum() == 0
 
     def test_interception_fraction_near_alpha(self):
         inst = basis_instance([0.5, 0.0], noise="gaussian")
@@ -169,9 +178,9 @@ class TestPerRewardCorruption:
         hits = 0
         total = 0
         for seed in range(50):
-            obs = observe_batch_m1(inst, cs, adv, NO_PRIVACY, np.random.default_rng(seed))
-            hits += sum(o.corrupted for o in obs)
-            total += len(obs)
+            corrupted = observe_batch(inst, cs, adv, NO_PRIVACY, np.random.default_rng(seed))[2]
+            hits += int(corrupted.sum())
+            total += corrupted.size
         frac = hits / total
         band = 4.0 * np.sqrt(0.1 * 0.9 / total)
         assert abs(frac - 0.1) <= band
@@ -180,23 +189,24 @@ class TestPerRewardCorruption:
         inst = basis_instance([0.9, -0.3])
         cs = m1_coreset([(0, 200), (1, 200)])
         adv = AdversaryConfig(alpha=0.2, strategy="constant", magnitude=7.0)
-        obs = observe_batch_m1(inst, cs, adv, NO_PRIVACY, np.random.default_rng(3))
-        corrupted = [o for o in obs if o.corrupted]
-        clean = [o for o in obs if not o.corrupted]
-        assert len(corrupted) > 10
-        assert all(o.reported_reward == 7.0 for o in corrupted)
-        assert all(o.reported_reward == o.raw_reward for o in clean)
-        # raw_reward keeps the pre-corruption value
-        assert all(o.raw_reward in (0.9, -0.3) for o in corrupted)
+        _, raw, corrupted, reported = observe_batch(
+            inst, cs, adv, NO_PRIVACY, np.random.default_rng(3)
+        )
+        assert corrupted.sum() > 10
+        assert np.all(reported[corrupted] == 7.0)
+        np.testing.assert_array_equal(reported[~corrupted], raw[~corrupted])
+        # the raw reward keeps the pre-corruption value
+        assert np.all(np.isin(raw[corrupted], [0.9, -0.3]))
 
     def test_sign_flip_negates_clean_value(self):
         inst = basis_instance([0.9, -0.3])
         cs = m1_coreset([(0, 150), (1, 150)])
         adv = AdversaryConfig(alpha=0.2, strategy="sign-flip")
-        obs = observe_batch_m1(inst, cs, adv, NO_PRIVACY, np.random.default_rng(5))
-        corrupted = [o for o in obs if o.corrupted]
-        assert len(corrupted) > 10
-        assert all(o.reported_reward == -o.raw_reward for o in corrupted)
+        _, raw, corrupted, reported = observe_batch(
+            inst, cs, adv, NO_PRIVACY, np.random.default_rng(5)
+        )
+        assert corrupted.sum() > 10
+        np.testing.assert_array_equal(reported[corrupted], -raw[corrupted])
 
     def test_anti_optimal_targets_worst_arm_in_coreset(self):
         # Arm 2 is the global worst but sits outside the coreset, so the
@@ -205,19 +215,23 @@ class TestPerRewardCorruption:
         inst = BanditInstance(theta_star=np.array([0.9, 0.0]), actions=acts, noise="zero")
         cs = m1_coreset([(0, 300), (1, 300)])
         adv = AdversaryConfig(alpha=0.2, strategy="anti-optimal", magnitude=11.0)
-        obs = observe_batch_m1(inst, cs, adv, NO_PRIVACY, np.random.default_rng(8))
-        corrupted = [o for o in obs if o.corrupted]
-        assert {o.action_index for o in corrupted} == {0, 1}
-        for o in corrupted:
-            assert o.reported_reward == (11.0 if o.action_index == 1 else -11.0)
+        acts, _, corrupted, reported = observe_batch(
+            inst, cs, adv, NO_PRIVACY, np.random.default_rng(8)
+        )
+        assert set(acts[corrupted].tolist()) == {0, 1}
+        np.testing.assert_array_equal(
+            reported[corrupted], np.where(acts[corrupted] == 1, 11.0, -11.0)
+        )
 
     def test_none_strategy_draws_mask_but_keeps_values(self):
         inst = basis_instance([0.9, -0.3])
         cs = m1_coreset([(0, 200), (1, 200)])
         adv = AdversaryConfig(alpha=0.2, strategy="none")
-        obs = observe_batch_m1(inst, cs, adv, NO_PRIVACY, np.random.default_rng(6))
-        assert sum(o.corrupted for o in obs) > 10
-        assert all(o.reported_reward == o.raw_reward for o in obs)
+        _, raw, corrupted, reported = observe_batch(
+            inst, cs, adv, NO_PRIVACY, np.random.default_rng(6)
+        )
+        assert corrupted.sum() > 10
+        np.testing.assert_array_equal(reported, raw)
 
     def test_mask_independent_of_noise_sign(self):
         # theta = 0 makes the clean reward pure noise; interception flags
@@ -225,9 +239,8 @@ class TestPerRewardCorruption:
         inst = basis_instance([0.0, 0.0], noise="gaussian")
         cs = m1_coreset([(0, 10_000)])
         adv = AdversaryConfig(alpha=0.2, strategy="none")
-        obs = observe_batch_m1(inst, cs, adv, NO_PRIVACY, np.random.default_rng(12))
-        pos = np.array([o.raw_reward > 0 for o in obs])
-        hit = np.array([o.corrupted for o in obs])
+        _, raw, hit, _ = observe_batch(inst, cs, adv, NO_PRIVACY, np.random.default_rng(12))
+        pos = raw > 0
         table = np.array([
             [np.sum(pos & hit), np.sum(pos & ~hit)],
             [np.sum(~pos & hit), np.sum(~pos & ~hit)],
@@ -244,21 +257,23 @@ class TestPerRewardDrawOrder:
         inst = basis_instance([0.5, -0.2], noise="gaussian")
         cs = m1_coreset([(0, 40), (1, 40)])
         adv = AdversaryConfig(alpha=0.15, strategy="constant", magnitude=9.0)
-        base = observe_batch_m1(inst, cs, NO_ADVERSARY, NO_PRIVACY, np.random.default_rng(21))
-        with_adv = observe_batch_m1(inst, cs, adv, NO_PRIVACY, np.random.default_rng(21))
-        np.testing.assert_array_equal(
-            [o.raw_reward for o in base], [o.raw_reward for o in with_adv]
-        )
+        base = observe_batch(inst, cs, NO_ADVERSARY, NO_PRIVACY, np.random.default_rng(21))
+        with_adv = observe_batch(inst, cs, adv, NO_PRIVACY, np.random.default_rng(21))
+        np.testing.assert_array_equal(base[1], with_adv[1])
 
     def test_mask_slots_unchanged_by_privacy(self):
         inst = basis_instance([0.5, -0.2], noise="gaussian")
         cs = m1_coreset([(0, 60), (1, 60)])
         adv = AdversaryConfig(alpha=0.15, strategy="constant", magnitude=9.0)
-        off = observe_batch_m1(inst, cs, adv, NO_PRIVACY, np.random.default_rng(22))
-        on = observe_batch_m1(inst, cs, adv, PrivacyParams(epsilon=1.0), np.random.default_rng(22))
-        assert [o.corrupted for o in off] == [o.corrupted for o in on]
-        np.testing.assert_array_equal([o.raw_reward for o in off], [o.raw_reward for o in on])
-        assert all(a.reported_reward != b.reported_reward for a, b in zip(off, on))
+        _, raw_off, flags_off, rep_off = observe_batch(
+            inst, cs, adv, NO_PRIVACY, np.random.default_rng(22)
+        )
+        _, raw_on, flags_on, rep_on = observe_batch(
+            inst, cs, adv, PrivacyParams(epsilon=1.0), np.random.default_rng(22)
+        )
+        np.testing.assert_array_equal(flags_off, flags_on)
+        np.testing.assert_array_equal(raw_off, raw_on)
+        assert np.all(rep_off != rep_on)
 
 
 class TestPerRewardPrivacyStages:
@@ -269,15 +284,15 @@ class TestPerRewardPrivacyStages:
         cs = m1_coreset([(0, 30), (1, 30)])
         adv = AdversaryConfig(alpha=0.2, strategy="constant", magnitude=7.0)
         priv = PrivacyParams(epsilon=0.5)
-        obs = observe_batch_m1(inst, cs, adv, priv, np.random.default_rng(9))
+        _, _, corrupted, reported = observe_batch(inst, cs, adv, priv, np.random.default_rng(9))
 
         rng = np.random.default_rng(9)
         mask = rng.random(60) >= 0.8
-        noise = laplace_icdf(rng.random(60), m1_scale(priv))
+        noise = laplace_icdf(rng.random(60), laplace_scale(priv, 1))
         means = np.repeat([0.9, -0.3], 30)
         expected = np.where(mask, 7.0, means) + noise
-        np.testing.assert_array_equal([o.reported_reward for o in obs], expected)
-        assert [o.corrupted for o in obs] == mask.tolist()
+        np.testing.assert_array_equal(reported, expected)
+        assert corrupted.tolist() == mask.tolist()
 
     def test_post_privacy_corruption_overrides_noise(self):
         inst = basis_instance([0.9, -0.3])
@@ -285,48 +300,52 @@ class TestPerRewardPrivacyStages:
         adv = AdversaryConfig(
             alpha=0.2, strategy="constant", magnitude=7.0, corrupt_stage="post-privacy"
         )
-        obs = observe_batch_m1(inst, cs, adv, PrivacyParams(epsilon=1.0), np.random.default_rng(10))
-        corrupted = [o for o in obs if o.corrupted]
-        clean = [o for o in obs if not o.corrupted]
-        assert len(corrupted) > 10
-        assert all(o.reported_reward == 7.0 for o in corrupted)
-        assert all(o.reported_reward != o.raw_reward for o in clean)  # Laplace noise present
+        _, raw, corrupted, reported = observe_batch(
+            inst, cs, adv, PrivacyParams(epsilon=1.0), np.random.default_rng(10)
+        )
+        assert corrupted.sum() > 10
+        assert np.all(reported[corrupted] == 7.0)
+        assert np.all(reported[~corrupted] != raw[~corrupted])  # Laplace noise present
 
     def test_clip_bounds_released_values(self):
         inst = basis_instance([0.9, -0.3])
         cs = m1_coreset([(0, 100), (1, 100)])
         adv = AdversaryConfig(alpha=0.2, strategy="constant", magnitude=7.0)
         clipped = PrivacyParams(enabled=False, clip=0.5)
-        obs = observe_batch_m1(inst, cs, adv, clipped, np.random.default_rng(11))
-        assert all(abs(o.reported_reward) <= 0.5 for o in obs)
-        assert all(o.reported_reward == 0.5 for o in obs if o.corrupted)
+        _, _, corrupted, reported = observe_batch(inst, cs, adv, clipped, np.random.default_rng(11))
+        assert np.all(np.abs(reported) <= 0.5)
+        assert np.all(reported[corrupted] == 0.5)
 
 
 class TestAggregatingClients:
     def test_one_report_per_distinct_action(self):
         inst = basis_instance([0.9, 0.0, -0.3])
         cs = m2_coreset([(0, 5), (2, 7)])
-        obs = observe_batch_m2(inst, cs, NO_ADVERSARY, NO_PRIVACY, np.random.default_rng(0))
-        assert [o.action_index for o in obs] == [0, 2]
-        assert [o.reported_reward for o in obs] == [0.9, -0.3]
-        assert [o.raw_reward for o in obs] == [0.9, -0.3]
+        acts, raw, _, reported = observe_batch(
+            inst, cs, NO_ADVERSARY, NO_PRIVACY, np.random.default_rng(0)
+        )
+        assert acts.tolist() == [0, 2]
+        assert reported.tolist() == [0.9, -0.3]
+        assert raw.tolist() == [0.9, -0.3]
 
     def test_raw_reward_is_clean_group_mean(self):
         inst = basis_instance([0.6, 0.0], noise="gaussian")
         cs = m2_coreset([(0, 50), (1, 50)])
         rng = np.random.default_rng(31)
-        obs = observe_batch_m2(inst, cs, NO_ADVERSARY, NO_PRIVACY, rng)
+        raw = observe_batch(inst, cs, NO_ADVERSARY, NO_PRIVACY, rng)[1]
         draws = np.repeat([0.6, 0.0], 50) + np.random.default_rng(31).standard_normal(100)
-        assert obs[0].raw_reward == pytest.approx(draws[:50].mean(), abs=1e-12)
-        assert obs[1].raw_reward == pytest.approx(draws[50:].mean(), abs=1e-12)
+        assert raw[0] == pytest.approx(draws[:50].mean(), abs=1e-12)
+        assert raw[1] == pytest.approx(draws[50:].mean(), abs=1e-12)
 
     def test_aggregation_shrinks_noise_std(self):
         inst = basis_instance([0.4, 0.0], noise="gaussian")
         cs = m2_coreset([(0, 400)])
         devs = []
         for seed in range(200):
-            obs = observe_batch_m2(inst, cs, NO_ADVERSARY, NO_PRIVACY, np.random.default_rng(seed))
-            devs.append(obs[0].reported_reward - 0.4)
+            reported = observe_batch(
+                inst, cs, NO_ADVERSARY, NO_PRIVACY, np.random.default_rng(seed)
+            )[3]
+            devs.append(reported[0] - 0.4)
         measured = np.std(devs)
         assert measured == pytest.approx(1.0 / 20.0, rel=0.15)
 
@@ -338,7 +357,7 @@ class TestAggregatingClients:
         cs = m2_coreset(entries)
         adv = AdversaryConfig(alpha=0.05, strategy="constant", magnitude=5.0)
         flags = [
-            observe_batch_m2(inst, cs, adv, NO_PRIVACY, np.random.default_rng(seed))[0].corrupted
+            observe_batch(inst, cs, adv, NO_PRIVACY, np.random.default_rng(seed))[2][0]
             for seed in range(1000)
         ]
         p = 1.0 - 0.95**20
@@ -351,15 +370,17 @@ class TestAggregatingClients:
         inst = basis_instance([0.9, 0.0])
         cs = m2_coreset([(0, 10), (1, 10)])
         adv = AdversaryConfig(alpha=0.2, strategy="constant", magnitude=10.0)
-        obs = observe_batch_m2(inst, cs, adv, NO_PRIVACY, np.random.default_rng(17))
+        _, raw, corrupted, reported = observe_batch(
+            inst, cs, adv, NO_PRIVACY, np.random.default_rng(17)
+        )
 
         mask = np.random.default_rng(17).random(20) >= 0.8
         for j, (mean, sl) in enumerate([(0.9, slice(0, 10)), (0.0, slice(10, 20))]):
             hits = int(mask[sl].sum())
             expected = (hits * 10.0 + (10 - hits) * mean) / 10.0
-            assert obs[j].reported_reward == pytest.approx(expected, abs=1e-12)
-            assert obs[j].corrupted == (hits > 0)
-            assert obs[j].raw_reward == mean
+            assert reported[j] == pytest.approx(expected, abs=1e-12)
+            assert corrupted[j] == (hits > 0)
+            assert raw[j] == mean
 
     def test_aggregate_mode_corrupts_whole_report(self):
         inst = basis_instance([0.9, 0.0])
@@ -369,13 +390,12 @@ class TestAggregatingClients:
         )
         hits = 0
         for seed in range(300):
-            obs = observe_batch_m2(inst, cs, adv, NO_PRIVACY, np.random.default_rng(seed))
-            for o in obs:
-                if o.corrupted:
-                    hits += 1
-                    assert o.reported_reward == 10.0
-                else:
-                    assert o.reported_reward == o.raw_reward
+            _, raw, corrupted, reported = observe_batch(
+                inst, cs, adv, NO_PRIVACY, np.random.default_rng(seed)
+            )
+            hits += int(corrupted.sum())
+            assert np.all(reported[corrupted] == 10.0)
+            np.testing.assert_array_equal(reported[~corrupted], raw[~corrupted])
         # One decision per report at probability alpha, not per raw draw.
         frac = hits / 600
         assert abs(frac - 0.2) <= 4.0 * np.sqrt(0.2 * 0.8 / 600)
@@ -390,13 +410,11 @@ class TestAggregatingClients:
         )
         found = 0
         for seed in range(200):
-            obs = observe_batch_m2(
+            _, _, corrupted, reported = observe_batch(
                 inst, cs, adv, PrivacyParams(epsilon=1.0), np.random.default_rng(seed)
             )
-            for o in obs:
-                if o.corrupted:
-                    found += 1
-                    assert o.reported_reward == 10.0  # exact despite privacy noise
+            found += int(corrupted.sum())
+            assert np.all(reported[corrupted] == 10.0)  # exact despite privacy noise
         assert found > 10
 
     def test_privacy_scale_matches_group_size(self):
@@ -405,16 +423,14 @@ class TestAggregatingClients:
         inst = basis_instance([0.9, 0.0])
         cs = m2_coreset([(0, 100), (1, 400)])
         priv = PrivacyParams(epsilon=0.5)
-        obs = observe_batch_m2(inst, cs, NO_ADVERSARY, priv, np.random.default_rng(19))
+        reported = observe_batch(inst, cs, NO_ADVERSARY, priv, np.random.default_rng(19))[3]
 
         unit = laplace_icdf(np.random.default_rng(19).random(2), 1.0)
         expected = np.array([0.9, 0.0]) + unit * np.array(
-            [m2_scale(priv, 100), m2_scale(priv, 400)]
+            [laplace_scale(priv, 100), laplace_scale(priv, 400)]
         )
         # Summing n_a identical terms leaves ulp-level fuzz in the group mean.
-        np.testing.assert_allclose(
-            [o.reported_reward for o in obs], expected, rtol=0, atol=1e-12
-        )
+        np.testing.assert_allclose(reported, expected, rtol=0, atol=1e-12)
 
 
 class TestLearnerEnv:
@@ -426,25 +442,27 @@ class TestLearnerEnv:
         np.testing.assert_array_equal(env.actions.vectors, inst.actions.vectors)
         np.testing.assert_array_equal(env.oracle.theta_star, inst.theta_star)
 
-    def test_play_batch_returns_reported_pairs_only(self):
+    def test_play_batch_returns_reported_values_only(self):
         inst = basis_instance([0.8, 0.1], noise="gaussian")
-        env = LearnerEnv(inst, AdversaryConfig(alpha=0.1, strategy="constant"), seed=7)
-        pairs = env.play_batch(m1_coreset([(0, 4), (1, 3)]), round_index=0, privacy=NO_PRIVACY)
-        assert len(pairs) == 7
-        assert all(isinstance(i, int) and isinstance(r, float) for i, r in pairs)
-        recorded = env.oracle.observations[0]
-        assert [(o.action_index, o.reported_reward) for o in recorded] == pairs
+        adv = AdversaryConfig(alpha=0.1, strategy="constant")
+        cs = m1_coreset([(0, 4), (1, 3)])
+        env = LearnerEnv(inst, adv, seed=7)
+        reports = env.play_batch(cs, round_index=0, privacy=NO_PRIVACY)
+        assert reports.shape == (7,) and reports.dtype == np.float64
+        ss = np.random.SeedSequence(entropy=7, spawn_key=(0,))
+        direct = observe_batch(inst, cs, adv, NO_PRIVACY, np.random.default_rng(ss))
+        np.testing.assert_array_equal(reports, direct[3])
 
     def test_play_batch_matches_direct_call(self):
         inst = basis_instance([0.8, 0.1], noise="gaussian")
         adv = AdversaryConfig(alpha=0.1, strategy="sign-flip")
         cs = m1_coreset([(0, 20), (1, 20)])
         env = LearnerEnv(inst, adv, seed=13)
-        pairs = env.play_batch(cs, round_index=3, privacy=NO_PRIVACY)
+        reports = env.play_batch(cs, round_index=3, privacy=NO_PRIVACY)
 
         ss = np.random.SeedSequence(entropy=13, spawn_key=(3,))
-        direct = observe_batch_m1(inst, cs, adv, NO_PRIVACY, np.random.default_rng(ss))
-        assert pairs == [(o.action_index, o.reported_reward) for o in direct]
+        direct = observe_batch(inst, cs, adv, NO_PRIVACY, np.random.default_rng(ss))
+        np.testing.assert_array_equal(reports, direct[3])
 
     def test_rounds_use_distinct_streams(self):
         inst = basis_instance([0.8, 0.1], noise="gaussian")
@@ -452,7 +470,7 @@ class TestLearnerEnv:
         cs = m1_coreset([(0, 10)])
         a = env.play_batch(cs, round_index=0, privacy=NO_PRIVACY)
         b = env.play_batch(cs, round_index=1, privacy=NO_PRIVACY)
-        assert a != b
+        assert not np.array_equal(a, b)
 
     def test_same_seed_same_history(self):
         inst = generate_instance(dim=3, num_actions=15, seed=6, noise="gaussian")
@@ -464,17 +482,64 @@ class TestLearnerEnv:
             histories.append(
                 [env.play_batch(cs, round_index=r, privacy=NO_PRIVACY) for r in range(3)]
             )
-        assert histories[0] == histories[1]
+        np.testing.assert_array_equal(histories[0], histories[1])
 
     def test_seed_sequence_accepted(self):
         inst = basis_instance([0.8, 0.1], noise="gaussian")
         cs = m1_coreset([(0, 5)])
         by_int = LearnerEnv(inst, NO_ADVERSARY, seed=21)
         by_seq = LearnerEnv(inst, NO_ADVERSARY, seed=np.random.SeedSequence(21))
-        assert by_int.play_batch(cs, 0, NO_PRIVACY) == by_seq.play_batch(cs, 0, NO_PRIVACY)
+        np.testing.assert_array_equal(
+            by_int.play_batch(cs, 0, NO_PRIVACY), by_seq.play_batch(cs, 0, NO_PRIVACY)
+        )
 
     def test_m2_coreset_dispatches_to_aggregation(self):
         inst = basis_instance([0.8, 0.1, -0.5], noise="gaussian")
         env = LearnerEnv(inst, NO_ADVERSARY, seed=2)
-        pairs = env.play_batch(m2_coreset([(0, 6), (1, 6), (2, 6)]), 0, NO_PRIVACY)
-        assert [i for i, _ in pairs] == [0, 1, 2]
+        cs = m2_coreset([(0, 6), (1, 6), (2, 6)])
+        reports = env.play_batch(cs, 0, NO_PRIVACY)
+        assert reports.shape == (3,)
+        ss = np.random.SeedSequence(entropy=2, spawn_key=(0,))
+        acts, raw, _, reported = observe_batch(
+            inst, cs, NO_ADVERSARY, NO_PRIVACY, np.random.default_rng(ss)
+        )
+        assert acts.tolist() == [0, 1, 2]
+        np.testing.assert_array_equal(reports, reported)
+        np.testing.assert_array_equal(reports, raw)
+
+
+def test_observe_batch_matches_golden():
+    # env_golden.json was recorded from the separate per-reward and
+    # aggregating generators that observe_batch replaced: every combination
+    # of the axes below on one mixed-count coreset, the same stream seed
+    # each time.  Floats are stored by repr, so each field must match
+    # exactly.  Per case the file holds the corrupted flags as a 0/1 string
+    # and indices into "values" for the raw and reported arrays.
+    golden = json.loads((DATA_DIR / "env_golden.json").read_text())
+    axes = golden["axes"]
+    entries = [tuple(e) for e in golden["entries"]]
+    combos = list(itertools.product(*axes.values()))
+    assert len(combos) == len(golden["cases"]) == 960
+    for combo, (flags, raw_at, reported_at) in zip(combos, golden["cases"]):
+        case = dict(zip(axes, combo))
+        inst = BanditInstance(
+            theta_star=np.array(golden["theta"]),
+            actions=ActionSet(np.eye(len(golden["theta"]))),
+            noise=case["noise"],
+        )
+        model = case["model"]
+        cs = Coreset(entries=entries, budget=sum(n for _, n in entries), model=model,
+                     nu=golden["nu"] if model == "M2" else None)
+        adv = AdversaryConfig(
+            alpha=case["alpha"], strategy=case["strategy"], magnitude=golden["magnitude"],
+            corrupt_stage=case["corrupt_stage"],
+            aggregate_corruption=case["aggregate_corruption"],
+        )
+        priv = PrivacyParams(epsilon=golden["epsilon"], enabled=case["privacy"], clip=case["clip"])
+        acts, raw, corrupted, reported = observe_batch(
+            inst, cs, adv, priv, np.random.default_rng(golden["seed"])
+        )
+        assert acts.tolist() == golden["actions"][model], case
+        assert "".join("1" if c else "0" for c in corrupted) == flags, case
+        assert raw.tolist() == golden["values"][raw_at], case
+        assert reported.tolist() == golden["values"][reported_at], case

@@ -6,15 +6,36 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from rpbandits.privacy import (
-    PrivacyParams,
-    laplace_icdf,
-    m1_scale,
-    m2_scale,
-    privatize_m1,
-    privatize_m2,
-    sample_laplace,
-)
+from rpbandits.design import ActionSet, Coreset
+from rpbandits.env import AdversaryConfig, BanditInstance, observe_batch
+from rpbandits.privacy import PrivacyParams, laplace_icdf, laplace_scale
+
+CLIENTS_PER_BATCH = 1000
+
+
+def releases(reward, params, rng, size, n_a=None):
+    """`size` values released by clients whose plays all have a fixed
+    reward, drawn through the environment's release path: per-reward (M1)
+    clients when n_a is None, else aggregating (M2) clients of n_a plays.
+
+    Zero reward noise and no adversary consume no draws, so the privacy
+    uniforms are consecutive slots of rng however the clients are batched.
+    """
+    inst = BanditInstance(
+        theta_star=np.array([reward]),
+        actions=ActionSet(np.ones((CLIENTS_PER_BATCH, 1))),
+        noise="zero",
+    )
+    if n_a is None:
+        coreset = Coreset(entries=[(0, CLIENTS_PER_BATCH)], budget=CLIENTS_PER_BATCH, model="M1")
+    else:
+        entries = [(i, n_a) for i in range(CLIENTS_PER_BATCH)]
+        coreset = Coreset(entries=entries, budget=n_a * CLIENTS_PER_BATCH, model="M2", nu=0.5)
+    out = [
+        observe_batch(inst, coreset, AdversaryConfig(), params, rng)[3]
+        for _ in range(-(-size // CLIENTS_PER_BATCH))
+    ]
+    return np.concatenate(out)[:size]
 
 
 def test_params_validation():
@@ -29,10 +50,15 @@ def test_params_validation():
 
 def test_scales():
     p = PrivacyParams(epsilon=1.0, enabled=True)
-    assert m1_scale(p) == 2.0
-    assert m2_scale(p, 100) == pytest.approx(0.02)
+    assert laplace_scale(p, 1) == 2.0
+    assert laplace_scale(p, 100) == pytest.approx(0.02)
     clipped = PrivacyParams(epsilon=1.0, enabled=True, clip=3.0)
-    assert m1_scale(clipped) == 6.0
+    assert laplace_scale(clipped, 1) == 6.0
+    np.testing.assert_array_equal(
+        laplace_scale(p, np.array([1, 100, 1])), [2.0, laplace_scale(p, 100), 2.0]
+    )
+    with pytest.raises(ValueError):
+        laplace_scale(p, 0)
 
 
 # --------------------------------------------------------------- laplace icdf
@@ -73,22 +99,27 @@ def test_icdf_vectorized():
     assert vals[0] == pytest.approx(-vals[2])
 
 
-def test_sample_laplace_ks():
+def test_icdf_of_uniforms_ks():
     rng = np.random.default_rng(101)
-    draws = sample_laplace(1.5, rng, size=10**5)
+    draws = laplace_icdf(rng.random(10**5), 1.5)
     stat, pvalue = stats.kstest(draws, stats.laplace(scale=1.5).cdf)
     assert pvalue > 0.01
 
 
-# ----------------------------------------------------------------- privatize
+# ------------------------------------------------- release through the env
 
 
 def test_disabled_is_identity():
     p = PrivacyParams(enabled=False)
     rng = np.random.default_rng(0)
     before = rng.bit_generator.state
-    assert privatize_m1(0.7, p, rng) == 0.7
-    assert privatize_m2(0.7, 100, p, rng) == 0.7
+    assert np.all(releases(0.7, p, rng, 10) == 0.7)
+    # An aggregating client's mean of 100 plays is released as it is.
+    inst = BanditInstance(theta_star=np.array([0.7]), actions=ActionSet(np.ones((2, 1))),
+                          noise="zero")
+    cs = Coreset(entries=[(0, 100), (1, 100)], budget=200, model="M2", nu=0.5)
+    _, raw, _, reported = observe_batch(inst, cs, AdversaryConfig(), p, rng)
+    np.testing.assert_array_equal(reported, raw)
     # identity consumes no randomness
     assert rng.bit_generator.state == before
 
@@ -96,7 +127,7 @@ def test_disabled_is_identity():
 def test_m1_noise_mean_and_variance():
     p = PrivacyParams(epsilon=1.0, enabled=True)
     rng = np.random.default_rng(7)
-    draws = np.array([privatize_m1(0.0, p, rng) for _ in range(10**5)])
+    draws = releases(0.0, p, rng, 10**5)
     assert abs(draws.mean()) <= 0.03
     assert draws.var() == pytest.approx(8.0, rel=0.05)  # 2 * (2/1)^2
 
@@ -105,7 +136,7 @@ def test_epsilon_doubling_halves_iqr():
     def iqr(eps, seed):
         p = PrivacyParams(epsilon=eps, enabled=True)
         rng = np.random.default_rng(seed)
-        draws = np.array([privatize_m1(0.0, p, rng) for _ in range(10**5)])
+        draws = releases(0.0, p, rng, 10**5)
         return np.percentile(draws, 75) - np.percentile(draws, 25)
 
     ratio = iqr(1.0, 21) / iqr(2.0, 22)
@@ -115,15 +146,15 @@ def test_epsilon_doubling_halves_iqr():
 def test_m2_noise_variance():
     p = PrivacyParams(epsilon=1.0, enabled=True)
     rng = np.random.default_rng(8)
-    draws = np.array([privatize_m2(0.0, 100, p, rng) for _ in range(10**5)])
+    draws = releases(0.0, p, rng, 10**5, n_a=100)
     assert draws.var() == pytest.approx(2 * 0.02**2, rel=0.05)
 
 
 def test_m2_single_client_matches_m1_distribution():
     p = PrivacyParams(epsilon=1.0, enabled=True)
     r1, r2 = np.random.default_rng(31), np.random.default_rng(32)
-    a = np.array([privatize_m1(0.0, p, r1) for _ in range(20000)])
-    b = np.array([privatize_m2(0.0, 1, p, r2) for _ in range(20000)])
+    a = releases(0.0, p, r1, 20000)
+    b = releases(0.0, p, r2, 20000, n_a=1)
     stat, pvalue = stats.ks_2samp(a, b)
     assert pvalue > 0.01
 
@@ -133,25 +164,26 @@ def test_noise_independent_of_reward_value():
     samples = {}
     for i, r in enumerate((-1.0, 0.0, 1.0)):
         rng = np.random.default_rng(50 + i)
-        samples[r] = np.array([privatize_m1(r, p, rng) - r for _ in range(20000)])
+        samples[r] = releases(r, p, rng, 20000) - r
     for r in (0.0, 1.0):
         stat, pvalue = stats.ks_2samp(samples[-1.0], samples[r])
         assert pvalue > 0.01
 
 
 def test_clipping_bounds_input_not_noise():
-    p = PrivacyParams(epsilon=1e9, enabled=True, clip=1.0)
+    p = PrivacyParams(epsilon=1e9, enabled=True, clip=0.5)
     rng = np.random.default_rng(9)
-    out = privatize_m1(5.0, p, rng)
-    # deterministic part clipped to 1.0; astronomically small noise
-    assert out == pytest.approx(1.0, abs=1e-6)
+    out = releases(0.9, p, rng, 1)[0]
+    # deterministic part clipped to 0.5; astronomically small noise
+    assert out == pytest.approx(0.5, abs=1e-6)
+    assert out != 0.5
 
 
 def test_sub_exponential_tail():
     p = PrivacyParams(epsilon=1.0, enabled=True)
     rng = np.random.default_rng(10)
     n, delta = 10**5, 0.01
-    b = m1_scale(p)
-    draws = np.abs(np.array([privatize_m1(0.0, p, rng) for _ in range(n)]))
+    b = laplace_scale(p, 1)
+    draws = np.abs(releases(0.0, p, rng, n))
     threshold = 4 * b * math.log(n / delta)
     assert np.mean(draws > threshold) < 2 * delta
