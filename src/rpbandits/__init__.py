@@ -13,9 +13,6 @@ from .design import (
     Design,
     build_coreset,
     compute_design,
-    effective_dimension,
-    load_action_set,
-    save_action_set,
     weighted_norm_sq,
 )
 from .env import (
@@ -70,7 +67,6 @@ from .privacy import (
 from .robust import (
     FilterDiagnostics,
     RobustEstimate,
-    confidence_radius_bound,
     robust_least_squares,
     spectral_filter,
     vanilla_least_squares,
@@ -105,16 +101,13 @@ __all__ = [
     "TooManyRemoved",
     "build_coreset",
     "compute_design",
-    "confidence_radius_bound",
     "default_num_rounds",
     "derive_entropy",
-    "effective_dimension",
     "emit_plotdata",
     "generate_instance",
     "instantaneous_regret",
     "laplace_icdf",
     "laplace_scale",
-    "load_action_set",
     "load_instance",
     "load_sweep",
     "robust_least_squares",
@@ -124,7 +117,6 @@ __all__ = [
     "run_nonrobust_elimination",
     "run_sweep",
     "run_vanilla_elimination",
-    "save_action_set",
     "save_instance",
     "seed_sequence",
     "spectral_filter",

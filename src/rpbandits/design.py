@@ -7,7 +7,6 @@ The optimizer is Frank-Wolfe on the log-det objective with away steps and
 exact line search, which keeps the support small while converging linearly.
 """
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,28 +60,6 @@ class ActionSet:
         if arr.ndim != 2 or arr.shape[1] != int(data["dim"]):
             raise ValueError("action set JSON has inconsistent dimensions")
         return cls(arr)
-
-
-def save_action_set(actions: ActionSet, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(actions.to_json_dict(), fh)
-
-
-def load_action_set(path) -> ActionSet:
-    with open(path) as fh:
-        return ActionSet.from_json_dict(json.load(fh))
-
-
-def effective_dimension(vectors: np.ndarray) -> int:
-    """Rank of the span of the rows, with pivoted-QR tolerance RANK_TOL."""
-    mat = np.asarray(vectors, dtype=float)
-    if mat.size == 0:
-        return 0
-    r = scipy.linalg.qr(mat.T, mode="r", pivoting=True)[0]
-    diag = np.abs(np.diag(r))
-    if diag.size == 0 or diag[0] <= RANK_TOL:
-        return 0
-    return int(np.sum(diag > RANK_TOL * diag[0]))
 
 
 def _span_leverages(vecs: np.ndarray, gram: np.ndarray) -> np.ndarray:

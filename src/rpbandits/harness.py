@@ -24,7 +24,7 @@ from .env import (
     generate_instance,
     load_instance,
 )
-from .errors import CheckpointOutOfRange, ConfigInvalid
+from .errors import ConfigInvalid
 from .policy import (
     CSV_FIELDS,
     RegretTrace,
@@ -129,7 +129,6 @@ CONFIG_SCHEMA = {
                 "alpha": {"type": "number", "minimum": 0, "exclusiveMaximum": 0.25},
                 "c_gamma": {"type": "number", "exclusiveMinimum": 0},
                 "nu": {"type": ["number", "null"], "exclusiveMinimum": 0, "exclusiveMaximum": 1},
-                "use_proof_indexing": {"type": "boolean"},
             },
         },
         "seeds": {
@@ -202,6 +201,10 @@ def _variants_of(config: dict) -> list[str]:
     return ["robust"] + list(config.get("baselines", []))
 
 
+def _cells_of(config: dict) -> list[tuple[str, int]]:
+    return [(v, s) for v in _variants_of(config) for s in _seeds_of(config)]
+
+
 def _schedule_of(config: dict) -> Schedule:
     sched = config["schedule"]
     horizon = sched["horizon"]
@@ -238,7 +241,6 @@ def _threshold_of(config: dict, privacy: PrivacyParams) -> ThresholdConfig:
         nu=thr.get("nu"),
         model=config["model"],
         epsilon=privacy.epsilon if privacy.enabled else None,
-        use_proof_indexing=thr.get("use_proof_indexing", False),
     )
 
 
@@ -353,6 +355,8 @@ def run_sweep(
     manifest_path = os.path.join(out_dir, "manifest.json")
 
     digest = config_hash(config)
+    header = {"kind": "header", "schema": CONFIG_VERSION,
+              "config_hash": digest, "config": config}
     completed: set[tuple[str, int]] = set()
     if os.path.exists(manifest_path):
         if not resume:
@@ -373,17 +377,9 @@ def run_sweep(
                 and os.path.exists(os.path.join(out_dir, c["path"]))
             }
     if not os.path.exists(manifest_path) or not resume:
-        header = {"kind": "header", "schema": CONFIG_VERSION,
-                  "config_hash": digest, "config": config}
         _atomic_write(manifest_path, _manifest_line(header))
 
-    variants = _variants_of(config)
-    seeds = _seeds_of(config)
-    cells = [(v, s) for v in variants for s in seeds]
-    pending = [c for c in cells if c not in completed]
-
-    failures: list[dict] = []
-    records: list[dict] = []
+    pending = [c for c in _cells_of(config) if c not in completed]
 
     def finish(variant: str, seed: int, payload: bytes | None, error: str | None):
         rel = os.path.join("traces", _trace_filename(variant, seed))
@@ -394,8 +390,6 @@ def run_sweep(
         else:
             rec = {"kind": "cell", "variant": variant, "seed": seed,
                    "status": "error", "error": error}
-            failures.append(rec)
-        records.append(rec)
         with open(manifest_path, "ab") as fh:
             fh.write(_manifest_line(rec))
             fh.flush()
@@ -423,34 +417,14 @@ def run_sweep(
 
     # Rewrite the manifest in canonical cell order once the sweep is complete,
     # so reruns of a finished sweep compare byte for byte.
-    all_records = _read_manifest(manifest_path)
-    by_cell = {(c["variant"], c["seed"]): c for c in all_records["cells"]}
-    lines = [_manifest_line({"kind": "header", "schema": CONFIG_VERSION,
-                             "config_hash": digest, "config": config})]
-    for cell in cells:
-        if cell in by_cell:
-            lines.append(_manifest_line(by_cell[cell]))
-    _atomic_write(manifest_path, b"".join(lines))
+    records = _canonical_cells(config, _read_manifest(manifest_path)["cells"])
+    _atomic_write(manifest_path, b"".join(map(_manifest_line, [header, *records])))
 
-    # Only cells the manifest marks ok count: a trace file left over from an
-    # earlier run of a cell that has since failed is stale.
-    traces = _load_ok_traces(out_dir, [by_cell[c] for c in cells if c in by_cell])
-
-    horizon = _schedule_of(config).horizon
-    checkpoints = config.get("checkpoints", _default_checkpoints(horizon))
-    stats, survival = _aggregate(traces, variants, seeds, checkpoints)
-    return SweepResult(
-        out_dir=out_dir,
-        config=config,
-        variants=variants,
-        seeds=seeds,
-        checkpoints=list(checkpoints),
-        traces=traces,
-        stats=stats,
-        survival=survival,
-        failures=failures,
-        wall_clock_s=time.monotonic() - started,
-    )
+    # A resume re-runs every cell not marked ok, so the failures among the
+    # canonical records are exactly this run's.
+    result = _sweep_result(out_dir, config, records)
+    result.wall_clock_s = time.monotonic() - started
+    return result
 
 
 def _cell_bytes(config: dict, variant: str, seed: int, base_dir: str | None) -> bytes:
@@ -477,13 +451,33 @@ def _read_manifest(path: str) -> dict:
     return {"header": header, "cells": cells}
 
 
-def _load_ok_traces(out_dir: str, records: list[dict]) -> dict[tuple[str, int], RegretTrace]:
+def _canonical_cells(config: dict, records: list[dict]) -> list[dict]:
+    """The last manifest record of each cell, in (variant, seed) order."""
+    by_cell = {(c["variant"], c["seed"]): c for c in records}
+    return [by_cell[c] for c in _cells_of(config) if c in by_cell]
+
+
+def _sweep_result(out_dir: str, config: dict, records: list[dict]) -> SweepResult:
+    """Load and aggregate the cells canonical manifest records mark ok.
+
+    Only those count: a trace file left over from an earlier run of a cell
+    that has since failed is stale.
+    """
     traces: dict[tuple[str, int], RegretTrace] = {}
     for cell in records:
         if cell["status"] == "ok":
             with open(os.path.join(out_dir, cell["path"])) as fh:
                 traces[(cell["variant"], cell["seed"])] = RegretTrace.from_json_dict(json.load(fh))
-    return traces
+    variants = _variants_of(config)
+    seeds = _seeds_of(config)
+    checkpoints = config.get("checkpoints", _default_checkpoints(_schedule_of(config).horizon))
+    stats, survival = _aggregate(traces, variants, seeds, checkpoints)
+    return SweepResult(
+        out_dir=out_dir, config=config, variants=variants, seeds=seeds,
+        checkpoints=list(checkpoints), traces=traces, stats=stats,
+        survival=survival, failures=[c for c in records if c["status"] != "ok"],
+        wall_clock_s=0.0,
+    )
 
 
 def load_sweep(out_dir: str) -> SweepResult:
@@ -493,18 +487,7 @@ def load_sweep(out_dir: str) -> SweepResult:
         raise ConfigInvalid(f"no manifest header found under {out_dir}")
     config = manifest["header"]["config"]
     validate_config(config)
-    variants = _variants_of(config)
-    seeds = _seeds_of(config)
-    traces = _load_ok_traces(out_dir, manifest["cells"])
-    failures = [cell for cell in manifest["cells"] if cell["status"] != "ok"]
-    horizon = _schedule_of(config).horizon
-    checkpoints = config.get("checkpoints", _default_checkpoints(horizon))
-    stats, survival = _aggregate(traces, variants, seeds, checkpoints)
-    return SweepResult(
-        out_dir=out_dir, config=config, variants=variants, seeds=seeds,
-        checkpoints=list(checkpoints), traces=traces, stats=stats,
-        survival=survival, failures=failures, wall_clock_s=0.0,
-    )
+    return _sweep_result(out_dir, config, _canonical_cells(config, manifest["cells"]))
 
 
 SUMMARY_FIELDS = ["variant", "checkpoint", "n_seeds", "mean_regret",
@@ -518,12 +501,6 @@ def summarize(result: SweepResult, checkpoints: list[int] | None = None) -> list
     recorded in any trace.
     """
     cps = list(result.checkpoints if checkpoints is None else checkpoints)
-    for cp in cps:
-        for trace in result.traces.values():
-            if cp > trace.total_plays or cp < 0:
-                raise CheckpointOutOfRange(
-                    f"checkpoint {cp} outside [0, {trace.total_plays}]"
-                )
     stats, survival = _aggregate(result.traces, result.variants, result.seeds, cps)
     rows = []
     for variant in result.variants:

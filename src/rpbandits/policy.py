@@ -8,8 +8,10 @@ round threshold below the best one.  The final round commits the remaining
 budget to the arm with the best estimated mean.
 """
 
+import bisect
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -63,9 +65,7 @@ class ThresholdConfig:
     """Inputs of the per-round elimination width gamma_i.
 
     epsilon carries the privacy level into the width; None means privacy is
-    disabled and every 1/epsilon term is dropped.  use_proof_indexing lowers
-    the M1 round-size exponent from q^i to q^(i-1) (an alternate convention
-    that matches the analysis rather than the algorithm listing).
+    disabled and every 1/epsilon term is dropped.
     """
 
     delta: float
@@ -74,7 +74,6 @@ class ThresholdConfig:
     nu: float | None = None
     model: str = "M1"
     epsilon: float | None = None
-    use_proof_indexing: bool = False
 
     def __post_init__(self):
         if not (0.0 < self.delta < 1.0):
@@ -95,8 +94,7 @@ def threshold_m1(i: int, schedule: Schedule, cfg: ThresholdConfig, d: int) -> fl
     """Elimination width for round i under per-reward clients."""
     if i < 1:
         raise ValueError("round index starts at 1")
-    exponent = i - 1 if cfg.use_proof_indexing else i
-    qi = schedule.q ** exponent
+    qi = schedule.q ** i
     log_round = math.log(max(qi / cfg.delta, 1.0 + 1e-12))
     log_conf = math.log(1.0 / cfg.delta)
     inv_eps = (1.0 / cfg.epsilon) if cfg.epsilon is not None else 0.0
@@ -209,6 +207,19 @@ class RoundRecord:
         )
 
 
+# Partial segments are summed in pieces of at most this many plays, so
+# answering a checkpoint never holds more than one piece in memory.
+REGRET_CHUNK = 1 << 16
+
+
+def _advance(total: float, value: float, plays: int) -> float:
+    """`total` plus `plays` copies of `value`, added one at a time from the
+    left, which is the order np.cumsum adds in."""
+    buf = np.full(plays + 1, value)
+    buf[0] = total
+    return float(np.add.accumulate(buf)[-1])
+
+
 @dataclass
 class RegretTrace:
     """Per-round records plus per-play expected regret, run-length encoded."""
@@ -219,37 +230,38 @@ class RegretTrace:
     rounds: list[RoundRecord]
     segments: list[tuple[int, float]]  # (play count, per-play regret), in play order
     optimal_arm: int
-    _cumulative: np.ndarray | None = field(default=None, repr=False, compare=False)
+
+    @cached_property
+    def _marks(self) -> tuple[list[int], list[float], list[float]]:
+        """Play count, cumulative regret and per-play regret at the end of
+        every segment and of every REGRET_CHUNK plays within one."""
+        plays, sums, values = [0], [0.0], [0.0]
+        for count, value in self.segments:
+            while count > 0:
+                n = min(count, REGRET_CHUNK)
+                plays.append(plays[-1] + n)
+                sums.append(_advance(sums[-1], value, n))
+                values.append(value)
+                count -= n
+        return plays, sums, values
 
     @property
     def total_plays(self) -> int:
-        return sum(c for c, _ in self.segments)
-
-    @property
-    def per_play_regret(self) -> np.ndarray:
-        counts = [c for c, _ in self.segments]
-        values = [v for _, v in self.segments]
-        return np.repeat(values, counts)
-
-    @property
-    def cumulative_regret(self) -> np.ndarray:
-        if self._cumulative is None:
-            self._cumulative = np.cumsum(self.per_play_regret)
-        return self._cumulative
+        return self._marks[0][-1]
 
     def cumulative_at(self, plays: int) -> float:
         """Cumulative expected regret after the first `plays` plays."""
-        if plays < 0 or plays > self.total_plays:
-            raise CheckpointOutOfRange(
-                f"checkpoint {plays} outside [0, {self.total_plays}]"
-            )
-        if plays == 0:
-            return 0.0
-        return float(self.cumulative_regret[plays - 1])
+        marks, sums, values = self._marks
+        if plays < 0 or plays > marks[-1]:
+            raise CheckpointOutOfRange(f"checkpoint {plays} outside [0, {marks[-1]}]")
+        j = bisect.bisect_left(marks, plays)
+        if marks[j] == plays:
+            return sums[j]
+        return _advance(sums[j - 1], values[j], plays - marks[j - 1])
 
     @property
     def final_regret(self) -> float:
-        return self.cumulative_at(self.total_plays)
+        return self._marks[1][-1]
 
     @property
     def final_active(self) -> list[int]:
@@ -482,9 +494,8 @@ def _run(
         segments=segments,
         optimal_arm=oracle.optimal_index,
     )
-    cum = trace.cumulative_regret
     for rec in records:
-        rec.cumulative_regret = float(cum[rec.cumulative_plays - 1]) if rec.cumulative_plays > 0 else 0.0
+        rec.cumulative_regret = trace.cumulative_at(rec.cumulative_plays)
     return trace
 
 

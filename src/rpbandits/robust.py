@@ -232,31 +232,3 @@ def robust_least_squares(
     return RobustEstimate(theta=theta, lam=float(lam), diagnostics=diag,
                           gram=acts.T @ acts)
 
-
-def confidence_radius_bound(
-    actions: np.ndarray,
-    rewards: np.ndarray,
-    alpha: float,
-    delta: float,
-) -> float:
-    """Diagnostic width mu*||y||*(sqrt(n (alpha + log(1/delta)/n)) + sqrt(alpha log(1/delta))) + alpha.
-
-    Here mu is the largest leverage ||a||^2_{M_n^+} among the played actions.
-    This mirrors the estimation-error analysis of the filtered estimator and
-    is exposed for diagnostics only; the elimination thresholds used by the
-    policy are computed separately.
-    """
-    if not (0.0 <= alpha < 0.25):
-        raise ValueError("alpha must lie in [0, 1/4)")
-    if not (0.0 < delta < 1.0):
-        raise ValueError("delta must lie in (0, 1)")
-    acts = np.asarray(actions, dtype=float)
-    y = np.asarray(rewards, dtype=float)
-    n = acts.shape[0]
-    basis, inv_sqrt, _ = _gram_inverse_sqrt(acts)
-    coords = (acts @ basis) * inv_sqrt
-    mu = float(np.max(np.einsum("ij,ij->i", coords, coords)))
-    y_norm = float(np.linalg.norm(y))
-    log_term = np.log(1.0 / delta)
-    main = np.sqrt(n * (alpha + log_term / n)) + np.sqrt(alpha * log_term)
-    return mu * y_norm * float(main) + alpha

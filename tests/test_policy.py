@@ -3,6 +3,7 @@ trace bookkeeping."""
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from rpbandits.env import AdversaryConfig, BanditInstance, LearnerEnv, generate_
 from rpbandits.errors import CheckpointOutOfRange, TooManyRemoved
 from rpbandits.policy import (
     CSV_FIELDS,
+    REGRET_CHUNK,
     RegretTrace,
     RoundRecord,
     Schedule,
@@ -128,15 +130,6 @@ class TestThresholdM1:
         with pytest.raises(ValueError):
             threshold_m1(0, sched, ThresholdConfig(delta=0.1), d=2)
 
-    def test_proof_indexing_shifts_round_size(self):
-        sched = Schedule(horizon=10**6, num_rounds=5)
-        plain = ThresholdConfig(delta=0.05, alpha=0.03)
-        shifted = ThresholdConfig(delta=0.05, alpha=0.03, use_proof_indexing=True)
-        for i in (1, 2, 3):
-            assert threshold_m1(i + 1, sched, shifted, d=4) == pytest.approx(
-                threshold_m1(i, sched, plain, d=4), rel=1e-15
-            )
-
 
 class TestThresholdM2:
     def test_golden_value(self):
@@ -195,10 +188,48 @@ class TestRegretTrace:
     def test_play_accounting(self):
         trace = make_trace()
         assert trace.total_plays == 10
-        np.testing.assert_allclose(
-            trace.per_play_regret, [0.5] * 3 + [0.0] * 2 + [1.0] * 5
+        expected = np.cumsum([0.5] * 3 + [0.0] * 2 + [1.0] * 5)
+        assert [trace.cumulative_at(p) for p in range(1, 11)] == list(expected)
+        assert trace.final_regret == 6.5
+
+    def test_cumulative_at_matches_cumsum_bit_for_bit(self):
+        counts = [1, 3 * REGRET_CHUNK + 17, 5, REGRET_CHUNK, 2 * REGRET_CHUNK - 1,
+                  400_000, 12, 300_000, 1]
+        values = np.random.default_rng(11).uniform(0.0, 2.0, len(counts))
+        values[2] = 0.0
+        trace = RegretTrace(
+            horizon=sum(counts), num_rounds=2, model="M1", rounds=[],
+            segments=list(zip(counts, values.tolist())), optimal_arm=0,
         )
-        np.testing.assert_allclose(trace.cumulative_regret[-1], 6.5)
+        assert trace.total_plays >= 10**6
+        reference = np.cumsum(np.repeat(values, counts))
+        ends = np.cumsum(counts)
+        points = {0, trace.total_plays}
+        for start, count, end in zip(ends - counts, counts, ends):
+            points |= {end - 1, end, min(end + 1, trace.total_plays), start + count // 2}
+            for k in range(1, count // REGRET_CHUNK + 1):
+                points |= {start + k * REGRET_CHUNK + j for j in (-1, 0, 1)}
+        for p in sorted(points):
+            assert trace.cumulative_at(p) == (0.0 if p == 0 else reference[p - 1]), p
+        assert trace.final_regret == reference[-1]
+        # Summing each segment as count * value rounds differently, so the
+        # comparison above can tell the two apart.
+        assert math.fsum(counts * values) != reference[-1]
+
+    def test_cumulative_at_memory_is_bounded(self):
+        trace = RegretTrace(
+            horizon=10**7, num_rounds=2, model="M1", rounds=[],
+            segments=[(3, 0.25), (4_000_000, 0.1), (5_999_997, 0.3)], optimal_arm=0,
+        )
+        tracemalloc.start()
+        try:
+            mid = trace.cumulative_at(5_000_001)
+            total = trace.cumulative_at(10**7)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+        assert 0.0 < mid < total
 
     def test_cumulative_at_checkpoints(self):
         trace = make_trace()
@@ -283,7 +314,7 @@ class TestEliminationRun:
         assert trace.rounds[-1].cumulative_plays == 3000
         plays = [r.cumulative_plays for r in trace.rounds]
         assert plays == sorted(plays)
-        cum = trace.cumulative_regret
+        cum = [trace.cumulative_at(p) for p in range(trace.total_plays + 1)]
         assert np.all(np.diff(cum) >= 0.0)
 
         for rec in trace.rounds[:-1]:

@@ -10,7 +10,6 @@ from rpbandits.errors import SingularGram, TooManyRemoved
 from rpbandits.robust import (
     DEFAULT_CLEAN_SCALE_SQ,
     _top_eigenpair,
-    confidence_radius_bound,
     robust_least_squares,
     spectral_filter,
     vanilla_least_squares,
@@ -303,48 +302,3 @@ def test_lam_override_respected():
 
 def test_default_scale_constant_frozen():
     assert DEFAULT_CLEAN_SCALE_SQ == 0.75
-
-
-# ------------------------------------------------- confidence_radius_bound
-
-
-def test_confidence_bound_golden():
-    # counts (100, 225, 225, 225, 225) on the basis give max leverage
-    # exactly 2d/n = 0.01; rewards are the deterministic means.
-    counts = [100, 225, 225, 225, 225]
-    actions = np.repeat(np.eye(5), counts, axis=0)
-    theta = np.array([0.3, -0.2, 0.1, 0.4, -0.1])
-    rewards = actions @ theta
-    val = confidence_radius_bound(actions, rewards, alpha=0.05, delta=0.01)
-    assert val == pytest.approx(0.6518921166167043, rel=1e-9)
-
-
-def test_confidence_bound_sqrt_scaling_alpha_zero():
-    rng = np.random.default_rng(18)
-    vecs = unit_rows(rng, 10, 3)
-    theta = rng.normal(size=3) * 0.3
-    vals = []
-    for n in (1000, 2000):
-        A = vecs[rng.integers(0, 10, size=n)]
-        y = A @ theta
-        vals.append(confidence_radius_bound(A, y, alpha=0.0, delta=0.5))
-    ratio = vals[0] / vals[1]
-    assert ratio == pytest.approx(np.sqrt(2), rel=0.05)
-
-
-def test_confidence_bound_monotone_in_alpha():
-    rng = np.random.default_rng(19)
-    A = unit_rows(rng, 8, 3)[rng.integers(0, 8, size=200)]
-    y = rng.normal(size=200)
-    vals = [confidence_radius_bound(A, y, alpha=a, delta=0.1)
-            for a in (0.0, 0.05, 0.1, 0.2)]
-    assert all(b >= a for a, b in zip(vals, vals[1:]))
-
-
-def test_confidence_bound_validates_inputs():
-    A = np.eye(2)
-    y = np.zeros(2)
-    with pytest.raises(ValueError):
-        confidence_radius_bound(A, y, alpha=0.25, delta=0.1)
-    with pytest.raises(ValueError):
-        confidence_radius_bound(A, y, alpha=0.0, delta=0.0)
