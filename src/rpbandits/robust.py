@@ -6,8 +6,17 @@ until that eigenvalue drops below four times a clean-scale budget lambda.
 Least squares becomes robust by whitening each observation a_i * y_i with the
 inverse square root of the Gram matrix, filtering the whitened points, and
 mapping the filtered mean back.
+
+The filter works on runs: maximal blocks of equal consecutive rows, whose
+weighted points y_i * c lie on one line.  A per-reward batch lays the plays
+of each action out as one run, so its points lie on at most |support| lines.
+The filter keeps each run's count, sum and centred sum of squares of its
+surviving weights (the run moments), builds the covariance and the removal
+scores from them, and samples a removal in two levels, a run and then a
+point inside it, from one uniform.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +42,6 @@ class RobustEstimate:
     theta: np.ndarray
     lam: float
     diagnostics: FilterDiagnostics
-    gram: np.ndarray | None = None
 
 
 def _top_eigenpair(cov: np.ndarray) -> tuple[float, np.ndarray]:
@@ -46,20 +54,45 @@ def _top_eigenpair(cov: np.ndarray) -> tuple[float, np.ndarray]:
     return float(evals[-1]), evecs[:, -1]
 
 
+def _search(cum: np.ndarray, u: float) -> int:
+    """`searchsorted(cum, u, side="right")` over a cumsum of nonnegative
+    scores, held to the last entry with a positive score when rounding
+    leaves u >= cum[-1]."""
+    j = int(cum.searchsorted(u, side="right"))
+    if j == cum.size:
+        j = int(cum.searchsorted(cum[-1], side="left"))
+    return j
+
+
 def spectral_filter(
     points: np.ndarray,
     lam: float,
     rng: np.random.Generator,
+    weights: np.ndarray | None = None,
 ) -> tuple[np.ndarray, FilterDiagnostics]:
-    """Mean of `points` after randomized removal of spectral outliers.
+    """Mean of the points weights[i] * points[i] after randomized removal of
+    spectral outliers.
 
     While the top eigenvalue mu of the empirical covariance satisfies
     mu >= 4 * lam, one point is removed, sampled with probability
     proportional to its squared projection on the top eigenvector, and the
     check repeats on the survivors.  A top eigenvalue at floating-point noise
     scale counts as zero so that identical points pass for any lam >= 0.
+    `weights` defaults to ones.
 
-    Raises TooManyRemoved once more than ceil(n / 2) points would be gone.
+    A run is a maximal block of equal consecutive rows of `points`; its
+    points weights[i] * c lie on the line through its row c.  The filter
+    keeps each run's count, weight sum and centred sum of squared weights
+    over its survivors, and builds the covariance from these run moments.
+    A removal scores each run in closed form, picks a run and then a point
+    inside it with one uniform, and recomputes that run's moments.  With k
+    runs of about n / k points in R^p a removal costs O(k p^2 + n / k).
+    The one uniform is the draw `Generator.choice(p=...)` makes, and the
+    two-level pick lands where choice's search over all points would, up to
+    rounding in the scores, so the rng stream is the same.
+
+    Raises TooManyRemoved once more than ceil(n / 2) points would be gone,
+    and ValueError on empty or non-finite input or weights not of shape (n,).
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
@@ -69,29 +102,43 @@ def spectral_filter(
         raise ValueError("cannot filter an empty point set")
     if lam < 0:
         raise ValueError("lam must be nonnegative")
+    w = np.ones(n) if weights is None else np.asarray(weights, dtype=float)
+    if w.shape != (n,):
+        raise ValueError(f"weights must have shape ({n},), got {w.shape}")
+    if not (np.isfinite(pts).all() and np.isfinite(w).all()):
+        raise ValueError("points and weights must be finite")
+
+    weighted = pts * w[:, None]
+    scale = float(np.mean(np.einsum("ij,ij->i", weighted, weighted)))
+    # Run b holds rows starts[b]:starts[b] + sizes[b], all equal to coef[b].
+    new_row = np.any(pts[1:] != pts[:-1], axis=1)
+    edges = np.flatnonzero(np.concatenate(([True], new_row, [True])))
+    starts, sizes = edges[:-1], edges[1:] - edges[:-1]
+    coef = pts[starts]
+    # Run moments of the surviving weights: count, sum, mean and centred sum
+    # of squares m2, kept as rows sqrt(m2) * c (within) and mean * c (centres).
+    root_cnt = np.sqrt(sizes)
+    wsum = np.add.reduceat(w, starts)
+    wbar = wsum / sizes
+    dev = w - np.repeat(wbar, sizes)
+    within = coef * np.sqrt(np.add.reduceat(dev * dev, starts))[:, None]
+    centres = coef * wbar[:, None]
 
     max_removed = int(np.ceil(n / 2))
     alive = np.ones(n, dtype=bool)
     removed_order: list[int] = []
-    # Incremental first and second moments; refreshed periodically to keep
-    # downdate rounding from accumulating.
-    vec_sum = pts.sum(axis=0)
-    outer_sum = pts.T @ pts
     removed = 0
     iterations = 0
-    scale = float(np.mean(np.einsum("ij,ij->i", pts, pts)))
     while True:
         iterations += 1
         m = n - removed
-        mean = vec_sum / m
-        cov = outer_sum / m - np.outer(mean, mean)
+        mean = (wsum @ coef) / m
+        # Within-run plus between-run scatter: no cancellation.
+        between = (centres - mean) * root_cnt[:, None]
+        cov = (within.T @ within + between.T @ between) / m
         mu, v = _top_eigenpair(cov)
         if mu < 4.0 * lam or mu <= ZERO_COV_TOL * max(1.0, scale):
-            diag = FilterDiagnostics(removed_count=removed,
-                                     final_top_eigenvalue=mu,
-                                     iterations=iterations,
-                                     removed_indices=tuple(removed_order))
-            return mean, diag
+            break
         if removed + 1 > max_removed:
             raise TooManyRemoved(
                 f"filter would remove more than {max_removed} of {n} points",
@@ -100,26 +147,34 @@ def spectral_filter(
                                               iterations=iterations,
                                               removed_indices=tuple(removed_order)),
             )
-        idx_alive = np.flatnonzero(alive)
-        proj = (pts[idx_alive] - mean) @ v
-        scores = proj * proj
-        total = scores.sum()
+        # The squared projections on v of run b's points w[i] * c sum to
+        # (within[b] @ v)^2 + (between[b] @ v)^2.
+        cum = ((within @ v) ** 2 + (between @ v) ** 2).cumsum()
+        total = float(cum[-1])
         if total <= 0.0:
-            # Cannot happen when mu > 0, but guard the division anyway.
-            diag = FilterDiagnostics(removed_count=removed,
-                                     final_top_eigenvalue=mu,
-                                     iterations=iterations,
-                                     removed_indices=tuple(removed_order))
-            return mean, diag
-        pick = idx_alive[rng.choice(scores.size, p=scores / total)]
+            # Cannot happen when mu > 0, but guard the sampling anyway.
+            break
+        u = rng.random() * total
+        b = _search(cum, u)
+        lo, hi = starts[b], starts[b] + sizes[b]
+        members = lo + alive[lo:hi].nonzero()[0]
+        proj = w[members] * float(coef[b] @ v) - float(mean @ v)
+        u_in_run = u - cum[b - 1] if b else u
+        pick = int(members[_search((proj * proj).cumsum(), u_in_run)])
         alive[pick] = False
-        removed_order.append(int(pick))
-        vec_sum = vec_sum - pts[pick]
-        outer_sum = outer_sum - np.outer(pts[pick], pts[pick])
+        removed_order.append(pick)
         removed += 1
-        if removed % 256 == 0:
-            vec_sum = pts[alive].sum(axis=0)
-            outer_sum = pts[alive].T @ pts[alive]
+        survivors = w[lo:hi][alive[lo:hi]]
+        wsum[b] = survivors.sum()
+        wbar_b = wsum[b] / survivors.size if survivors.size else 0.0
+        root_cnt[b] = math.sqrt(survivors.size)
+        within[b] = coef[b] * math.sqrt(float(((survivors - wbar_b) ** 2).sum()))
+        centres[b] = coef[b] * wbar_b
+    diag = FilterDiagnostics(removed_count=removed,
+                             final_top_eigenvalue=mu,
+                             iterations=iterations,
+                             removed_indices=tuple(removed_order))
+    return weighted[alive].sum(axis=0) / m, diag
 
 
 def _gram_inverse_sqrt(actions: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -226,9 +281,9 @@ def robust_least_squares(
             raise ValueError("clean_scale_sq must be positive")
         lam = max_lev * clean_scale_sq
 
-    points = (acts @ basis) * inv_sqrt * y[:, None]
-    w, diag = spectral_filter(points, lam, rng)
+    # Row i is M_n^{-1/2} a_i; the filter weighs it by y_i.  Equal
+    # consecutive rows (M1 plays of one action) form one run of the filter.
+    w, diag = spectral_filter((acts @ basis) * inv_sqrt, lam, rng, weights=y)
     theta = basis @ (n * inv_sqrt * w)
-    return RobustEstimate(theta=theta, lam=float(lam), diagnostics=diag,
-                          gram=acts.T @ acts)
+    return RobustEstimate(theta=theta, lam=float(lam), diagnostics=diag)
 

@@ -3,8 +3,10 @@
 perfbench/tracer.py wraps entry points at the names their callers look up
 (for example `rpbandits.env.laplace_icdf`), and `install` fails if one of
 them is gone.  Running it here makes a rename fail in the test suite rather
-than only in the benchmark.  It runs in a subprocess because `install`
-patches the modules for the whole process.
+than only in the benchmark.  A caller that stops looking a name up would
+leave its span empty instead, so the test also checks what the spans and
+counters saw.  It runs in a subprocess because `install` patches the
+modules for the whole process.
 """
 
 import json
@@ -24,6 +26,13 @@ SCRIPT = textwrap.dedent("""
 
     tracer = Tracer(sys.argv[2])
     install(tracer)
+
+    def clients(model, entries):
+        return sum(n for _, n in entries) if model == "M1" else len(entries)
+
+    def filter_spans():
+        return sum(1 for s in tracer.spans if s[2] == "robust.spectral_filter")
+
     cells = {}
     for model, threshold in (("M1", {}), ("M2", {"nu": 0.02})):
         config = {
@@ -36,12 +45,19 @@ SCRIPT = textwrap.dedent("""
             "threshold": {"delta": 0.05, "alpha": 0.05, **threshold},
         }
         before = tracer.counters["env.reports"]
+        points_before = tracer.counters["robust.filter.points"]
+        filters_before = filter_spans()
         trace = harness.run_cell(config, "robust", 0)
         entries = [e for rec in trace.rounds if rec.coreset_entries
                    for e in rec.coreset_entries]
+        filtered = [e for rec in trace.rounds if rec.filter_diagnostics is not None
+                    for e in rec.coreset_entries]
         cells[model] = {
             "reports": tracer.counters["env.reports"] - before,
-            "clients": sum(n for _, n in entries) if model == "M1" else len(entries),
+            "clients": clients(model, entries),
+            "filter_spans": filter_spans() - filters_before,
+            "filter_points": tracer.counters["robust.filter.points"] - points_before,
+            "filtered_clients": clients(model, filtered),
         }
     print(json.dumps({"spans": sorted({s[2] for s in tracer.spans}), "cells": cells}))
 """)
@@ -61,3 +77,8 @@ def test_tracer_wraps_env_and_privacy(tmp_path):
         cell = out["cells"][model]
         assert cell["clients"] > 0
         assert cell["reports"] == cell["clients"], model
+        # robust_least_squares calls the filter at the name the tracer wraps,
+        # with one point per reporting client.
+        assert cell["filter_spans"] > 0, model
+        assert cell["filtered_clients"] > 0, model
+        assert cell["filter_points"] == cell["filtered_clients"], model

