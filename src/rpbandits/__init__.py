@@ -13,7 +13,6 @@ from .design import (
     Design,
     build_coreset,
     compute_design,
-    weighted_norm_sq,
 )
 from .env import (
     AdversaryConfig,
@@ -45,7 +44,6 @@ from .harness import (
     summary_table,
     validate_config,
     write_summary_csv,
-    write_trace_csv,
 )
 from .policy import (
     RegretTrace,
@@ -126,7 +124,5 @@ __all__ = [
     "threshold_m2",
     "validate_config",
     "vanilla_least_squares",
-    "weighted_norm_sq",
     "write_summary_csv",
-    "write_trace_csv",
 ]

@@ -80,16 +80,6 @@ def _span_leverages(vecs: np.ndarray, gram: np.ndarray) -> np.ndarray:
     return np.sum(proj[:, keep] ** 2 / evals[keep], axis=1)
 
 
-def weighted_norm_sq(a: np.ndarray, gram: np.ndarray) -> float:
-    """<a, gram^+ a> restricted to the span of gram.
-
-    Raises OutOfSpan when `a` has a component orthogonal to the span larger
-    than SPAN_TOL * max(1, ||a||).
-    """
-    a = np.asarray(a, dtype=float)
-    return float(_span_leverages(a[None, :], np.asarray(gram, dtype=float))[0])
-
-
 def _support_bound(r: int, support_constant: float) -> int:
     if r <= 0:
         return 0
@@ -289,18 +279,21 @@ class Coreset:
     def support_size(self) -> int:
         return len(self.entries)
 
-    def clients(self) -> tuple[np.ndarray, np.ndarray]:
-        """Action index and play count of each reporting client, in play order.
+    def runs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Action index, client count and plays per client of each entry.
 
-        A per-reward client (M1) reports one play, so an entry with n plays
-        is n clients of count 1.  An aggregating client (M2) reports the
-        mean of all plays of its entry.
+        Each entry is a run of clients that report on its action, in play
+        order.  A per-reward client (M1) reports one play, so an entry with n
+        plays is a run of n clients of one play each.  An aggregating client
+        (M2) reports the mean of all plays of its entry: a run of one client
+        of n plays.
         """
         actions = np.asarray([i for i, _ in self.entries], dtype=int)
         counts = np.asarray([n for _, n in self.entries], dtype=int)
+        ones = np.ones_like(counts)
         if self.model == "M1":
-            return np.repeat(actions, counts), np.ones(int(counts.sum()), dtype=int)
-        return actions, counts
+            return actions, counts, ones
+        return actions, ones, counts
 
 
 def build_coreset(design: Design, budget: int, model: str, nu: float | None = None) -> Coreset:

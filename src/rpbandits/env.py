@@ -8,16 +8,23 @@ it according to its strategy; privacy noise is added afterwards by default
 A batch is played by clients, each of which averages the n_a plays it holds
 and sends one report.  Per-reward clients (M1) hold a single play each, so
 every play is reported; aggregating clients (M2) hold all plays of one
-action, so there is one report per distinct action.  By default the
-adversary corrupts individual raw draws, and an aggregate-corruption mode
-corrupts the single averaged report instead; for a client of one play the
-two coincide.
+action, so there is one report per distinct action.  A coreset entry is a
+run of clients on one action (Coreset.runs): n_a clients of one play under
+M1, one client of n_a plays under M2.  By default the adversary corrupts
+individual raw draws, and an aggregate-corruption mode corrupts the single
+averaged report instead; for a client of one play the two coincide.
 
-Randomness layout: every batch consumes one derived stream, drawing noise,
-corruption uniforms, and privacy uniforms as whole arrays in a fixed order.
-A play's draws therefore live at fixed stream positions (its client slot),
-independent of processing order, which keeps batch generation parallelizable
-across clients with results identical to sequential execution.
+Randomness layout: every batch consumes one derived stream, drawing noise
+for every play, then corruption uniforms, then privacy uniforms, in that
+order.  A play's draws therefore live at fixed stream positions (its client
+slot), independent of processing order, which keeps batch generation
+parallelizable across clients with results identical to sequential
+execution.  The batch is processed stage by stage (noise, mask, privacy),
+each stage in chunks of at most PLAY_CHUNK plays of whole clients, so a
+stage draws from the stream in the same order as one whole-batch draw while
+its temporaries stay bounded.  What scales with the batch is one float per
+play and one flag per client; under M1 the per-play floats become the
+reports in place.
 """
 
 import json
@@ -182,6 +189,113 @@ def _worst_arm_in(instance: BanditInstance, coreset: Coreset) -> int:
     return int(idxs[int(np.argmin(sub))])
 
 
+# Plays per chunk of a batch's per-play stages, and clients per chunk of its
+# per-client ones, which bounds their temporaries; a client with more plays
+# than this is a chunk of its own.
+PLAY_CHUNK = 1 << 14
+
+
+def _chunks(lengths: np.ndarray, counts: np.ndarray) -> list[tuple[int, int, int, int]]:
+    """Client range [c0, c1) and play range [p0, p1) of every chunk.
+
+    Run b holds lengths[b] clients of counts[b] plays each.  Whole clients
+    are packed in play order while a chunk holds at most PLAY_CHUNK plays.
+    """
+    chunks = []
+    c0 = p0 = c = p = 0
+    for clients, plays in zip(lengths.tolist(), counts.tolist()):
+        while clients:
+            take = min(clients, max(PLAY_CHUNK - (p - p0), 0) // plays)
+            if take == 0:
+                if p > p0:
+                    chunks.append((c0, c, p0, p))
+                    c0, p0 = c, p
+                    continue
+                take = 1
+            c += take
+            p += take * plays
+            clients -= take
+    if p > p0:
+        chunks.append((c0, c, p0, p))
+    return chunks
+
+
+def _play(
+    instance: BanditInstance,
+    coreset: Coreset,
+    adversary: AdversaryConfig,
+    privacy: PrivacyParams,
+    rng: np.random.Generator,
+    keep_raw: bool,
+) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
+    """Per-client (raw reward or None, corrupted flag, reported reward).
+
+    Three stages run over the whole batch one after another, noise, then
+    the adversary's mask, then privacy, each chunk by chunk and in place on
+    one per-play and one per-client array, so a stage draws its uniforms
+    and noise in the same stream order as a single whole-batch call.  When
+    every client holds one play (M1) the two arrays are one.  Stages that
+    touch plays take chunks of whole clients (see _chunks); stages that
+    touch only reports take PLAY_CHUNK clients at a time.
+    """
+    actions, lengths, counts = coreset.runs()
+    client_ends = np.cumsum(lengths)
+    n_clients = int(lengths.sum())
+    total = int(lengths @ counts)
+    chunks = _chunks(lengths, counts)
+    client_chunks = [(c0, min(c0 + PLAY_CHUNK, n_clients))
+                     for c0 in range(0, n_clients, PLAY_CHUNK)]
+    means = instance.mean_rewards
+    aggregate_mode = adversary.aggregate_corruption or adversary.corrupt_stage == "post-privacy"
+    worst = _worst_arm_in(instance, coreset) if actions.size else 0
+
+    def clients_of(c0, c1):
+        run = client_ends.searchsorted(np.arange(c0, c1), side="right")
+        n_a = counts[run]
+        return actions[run], n_a, np.cumsum(n_a) - n_a
+
+    # Noise: every play's clean reward plus noise, then each client's mean.
+    draws = np.empty(total)
+    values = draws if total == n_clients else np.empty(n_clients)
+    for c0, c1, p0, p1 in chunks:
+        acts, n_a, starts = clients_of(c0, c1)
+        draws[p0:p1] = means[np.repeat(acts, n_a)] + _noise_draws(instance.noise, p1 - p0, rng)
+        values[c0:c1] = np.add.reduceat(draws[p0:p1], starts) / n_a
+    raw = values.copy() if keep_raw else None
+
+    # Mask: per raw draw by default, per report in aggregate mode.
+    corrupted = np.zeros(n_clients, dtype=bool)
+    if adversary.alpha > 0.0 and aggregate_mode:
+        for c0, c1 in client_chunks:
+            mask = rng.random(c1 - c0) >= 1.0 - adversary.alpha
+            corrupted[c0:c1] = mask
+            if adversary.corrupt_stage == "pre-privacy":
+                v = values[c0:c1]
+                replaced = _corrupt_values(v, clients_of(c0, c1)[0], adversary, worst)
+                v[:] = np.where(mask, replaced, v)
+    elif adversary.alpha > 0.0:
+        for c0, c1, p0, p1 in chunks:
+            acts, n_a, starts = clients_of(c0, c1)
+            mask = rng.random(p1 - p0) >= 1.0 - adversary.alpha
+            corrupted[c0:c1] = np.logical_or.reduceat(mask, starts)
+            d = draws[p0:p1]
+            d[:] = np.where(mask, _corrupt_values(d, np.repeat(acts, n_a), adversary, worst), d)
+            values[c0:c1] = np.add.reduceat(d, starts) / n_a
+
+    # Privacy: release each report, then corrupt it under the post-privacy stage.
+    for c0, c1 in client_chunks:
+        acts, n_a, _ = clients_of(c0, c1)
+        priv = None
+        if privacy.enabled:
+            priv = laplace_icdf(rng.random(c1 - c0), 1.0) * laplace_scale(privacy, n_a)
+        released = _release(values[c0:c1], privacy, priv)
+        if adversary.corrupt_stage == "post-privacy":
+            released = np.where(corrupted[c0:c1],
+                                _corrupt_values(released, acts, adversary, worst), released)
+        values[c0:c1] = released
+    return raw, corrupted, values
+
+
 def observe_batch(
     instance: BanditInstance,
     coreset: Coreset,
@@ -189,7 +303,7 @@ def observe_batch(
     privacy: PrivacyParams,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Play a coreset; one report per client (see Coreset.clients).
+    """Play a coreset; one report per client (see Coreset.runs).
 
     Returns per-client arrays (action index, raw reward, corrupted flag,
     reported reward).  The raw reward is the clean mean of the client's
@@ -200,40 +314,9 @@ def observe_batch(
     post-privacy stage, where raw draws are never released) a single
     interception decision applies to the whole report.
     """
-    actions, counts = coreset.clients()
-    k = actions.size
-    total = int(counts.sum())
-    starts = np.cumsum(counts) - counts
-    play_actions = np.repeat(actions, counts)
-
-    draws = instance.mean_rewards[play_actions] + _noise_draws(instance.noise, total, rng)
-    raw = np.add.reduceat(draws, starts) / counts
-
-    aggregate_mode = adversary.aggregate_corruption or adversary.corrupt_stage == "post-privacy"
-    worst = _worst_arm_in(instance, coreset) if k else 0
-    mask = np.zeros(k if aggregate_mode else total, dtype=bool)
-    if adversary.alpha > 0.0:
-        mask = rng.random(mask.size) >= 1.0 - adversary.alpha
-    if aggregate_mode:
-        corrupted = mask
-        values = raw
-    else:
-        corrupted = np.logical_or.reduceat(mask, starts)
-        replaced = np.where(mask, _corrupt_values(draws, play_actions, adversary, worst), draws)
-        values = np.add.reduceat(replaced, starts) / counts
-
-    priv = None
-    if privacy.enabled:
-        priv = laplace_icdf(rng.random(k), 1.0) * laplace_scale(privacy, counts)
-
-    if adversary.corrupt_stage == "pre-privacy":
-        if aggregate_mode:
-            values = np.where(corrupted, _corrupt_values(values, actions, adversary, worst), values)
-        reported = _release(values, privacy, priv)
-    else:
-        released = _release(raw, privacy, priv)
-        reported = np.where(corrupted, _corrupt_values(released, actions, adversary, worst), released)
-    return actions, raw, corrupted, reported
+    actions, lengths, _ = coreset.runs()
+    raw, corrupted, reported = _play(instance, coreset, adversary, privacy, rng, keep_raw=True)
+    return np.repeat(actions, lengths), raw, corrupted, reported
 
 
 def _release(values: np.ndarray, privacy: PrivacyParams, noise: np.ndarray | None) -> np.ndarray:
@@ -307,4 +390,4 @@ class LearnerEnv:
     ) -> np.ndarray:
         """Play a coreset; returns each client's reported reward, in client order."""
         rng = self._batch_rng(round_index)
-        return observe_batch(self._instance, coreset, self._adversary, privacy, rng)[3]
+        return _play(self._instance, coreset, self._adversary, privacy, rng, keep_raw=False)[2]

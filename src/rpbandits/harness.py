@@ -26,7 +26,6 @@ from .env import (
 )
 from .errors import ConfigInvalid
 from .policy import (
-    CSV_FIELDS,
     RegretTrace,
     Schedule,
     ThresholdConfig,
@@ -555,10 +554,3 @@ def emit_plotdata(result: SweepResult, path: str) -> int:
                 count += 1
     _atomic_write(path, ("\n".join(lines) + "\n").encode("utf-8"))
     return count
-
-
-def write_trace_csv(trace: RegretTrace, path: str) -> None:
-    lines = [",".join(CSV_FIELDS)]
-    for row in trace.csv_rows():
-        lines.append(",".join(str(row[f]) for f in CSV_FIELDS))
-    _atomic_write(path, ("\n".join(lines) + "\n").encode("utf-8"))

@@ -298,32 +298,6 @@ class RegretTrace:
             optimal_arm=data["optimal_arm"],
         )
 
-    def csv_rows(self) -> list[dict]:
-        """Per-round summary rows."""
-        rows = []
-        for rec in self.rounds:
-            diag = rec.filter_diagnostics
-            rows.append({
-                "round": rec.round_index,
-                "round_budget": rec.round_budget,
-                "batch_size": rec.batch_size,
-                "active_before": len(rec.active_before),
-                "active_after": len(rec.active_after),
-                "gamma": "" if rec.gamma is None else repr(rec.gamma),
-                "filter_removed": "" if diag is None else diag.removed_count,
-                "filter_fallback": int(rec.filter_fallback),
-                "cumulative_plays": rec.cumulative_plays,
-                "cumulative_regret": repr(rec.cumulative_regret),
-            })
-        return rows
-
-
-CSV_FIELDS = [
-    "round", "round_budget", "batch_size", "active_before", "active_after",
-    "gamma", "filter_removed", "filter_fallback", "cumulative_plays",
-    "cumulative_regret",
-]
-
 
 def _fit_coreset_to_budget(coreset: Coreset, budget: int) -> Coreset:
     """Trim play counts so the total fits the remaining budget.
@@ -368,20 +342,24 @@ def _estimate(
     privacy: PrivacyParams,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, FilterDiagnostics | None, bool]:
-    """Parameter estimate for one round; returns (theta, diagnostics, fallback)."""
-    client_actions, client_counts = coreset.clients()
-    acts = all_vectors[client_actions]
+    """Parameter estimate for one round; returns (theta, diagnostics, fallback).
+
+    The estimators get the coreset's runs: one action row per entry, the
+    number of clients that reported on it, and the reports in client order.
+    """
+    actions, lengths, client_counts = coreset.runs()
+    rows = all_vectors[actions]
     if estimator == "vanilla":
-        return vanilla_least_squares(acts, rewards), None, False
+        return vanilla_least_squares(rows, lengths, rewards), None, False
     try:
         est = robust_least_squares(
-            acts, rewards, rng,
+            rows, lengths, rewards, rng,
             query_actions=active_vectors,
             clean_scale_sq=_clean_scale_sq(privacy, client_counts),
         )
         return est.theta, est.diagnostics, False
     except TooManyRemoved as exc:
-        return vanilla_least_squares(acts, rewards), exc.diagnostics, True
+        return vanilla_least_squares(rows, lengths, rewards), exc.diagnostics, True
 
 
 def _run(

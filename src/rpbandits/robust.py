@@ -7,13 +7,17 @@ Least squares becomes robust by whitening each observation a_i * y_i with the
 inverse square root of the Gram matrix, filtering the whitened points, and
 mapping the filtered mean back.
 
-The filter works on runs: maximal blocks of equal consecutive rows, whose
-weighted points y_i * c lie on one line.  A per-reward batch lays the plays
-of each action out as one run, so its points lie on at most |support| lines.
-The filter keeps each run's count, sum and centred sum of squares of its
-surviving weights (the run moments), builds the covariance and the removal
-scores from them, and samples a removal in two levels, a run and then a
-point inside it, from one uniform.
+Both estimators take their observations as runs: k rows, a run length per
+row, and one reward per observation, the rewards of run b being the next
+lengths[b] entries.  A coreset entry is a run: under per-reward clients
+(M1) its action row with one reward per play, under aggregating clients
+(M2) its action row with the one reward of its client.  So the Gram is
+sum_b lengths[b] c_b c_b^T and nothing of size n x d is built.  The filter
+keeps each run's count, sum and centred sum of squares of its surviving
+weights (the run moments), builds the covariance and the removal scores
+from them, and samples a removal in two levels, a run and then a point
+inside it, from one uniform.  A caller with single observations passes
+runs of length 1.
 """
 
 import math
@@ -40,7 +44,6 @@ class FilterDiagnostics:
 @dataclass(frozen=True)
 class RobustEstimate:
     theta: np.ndarray
-    lam: float
     diagnostics: FilterDiagnostics
 
 
@@ -64,65 +67,76 @@ def _search(cum: np.ndarray, u: float) -> int:
     return j
 
 
+def _runs(rows, lengths, values) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Validated (rows, lengths, values, run starts) of k runs over n values."""
+    rows = np.asarray(rows, dtype=float)
+    lengths = np.asarray(lengths, dtype=int)
+    values = np.asarray(values, dtype=float)
+    if rows.ndim != 2 or lengths.shape != rows.shape[:1]:
+        raise ValueError("need a 2-d array of rows and one run length per row")
+    if values.ndim != 1:
+        raise ValueError(f"values must have shape (n,), got {values.shape}")
+    if values.size == 0:
+        raise ValueError("need at least one observation")
+    if np.any(lengths < 1):
+        raise ValueError("run lengths must be positive")
+    if int(lengths.sum()) != values.size:
+        raise ValueError(f"run lengths sum to {int(lengths.sum())}, "
+                         f"but the values have shape {values.shape}")
+    return rows, lengths, values, np.cumsum(lengths) - lengths
+
+
 def spectral_filter(
-    points: np.ndarray,
+    weights: np.ndarray,
+    rows: np.ndarray,
+    lengths: np.ndarray,
     lam: float,
     rng: np.random.Generator,
-    weights: np.ndarray | None = None,
 ) -> tuple[np.ndarray, FilterDiagnostics]:
-    """Mean of the points weights[i] * points[i] after randomized removal of
-    spectral outliers.
+    """Mean of the points weights[i] * rows[b], for i in run b, after
+    randomized removal of spectral outliers.
 
-    While the top eigenvalue mu of the empirical covariance satisfies
-    mu >= 4 * lam, one point is removed, sampled with probability
-    proportional to its squared projection on the top eigenvector, and the
-    check repeats on the survivors.  A top eigenvalue at floating-point noise
-    scale counts as zero so that identical points pass for any lam >= 0.
-    `weights` defaults to ones.
+    Run b is the next lengths[b] points, which lie on the line through
+    rows[b].  While the top eigenvalue mu of the points' empirical
+    covariance satisfies mu >= 4 * lam, one point is removed, sampled with
+    probability proportional to its squared projection on the top
+    eigenvector, and the check repeats on the survivors.  A top eigenvalue
+    at floating-point noise scale counts as zero so that identical points
+    pass for any lam >= 0.
 
-    A run is a maximal block of equal consecutive rows of `points`; its
-    points weights[i] * c lie on the line through its row c.  The filter
-    keeps each run's count, weight sum and centred sum of squared weights
-    over its survivors, and builds the covariance from these run moments.
-    A removal scores each run in closed form, picks a run and then a point
-    inside it with one uniform, and recomputes that run's moments.  With k
-    runs of about n / k points in R^p a removal costs O(k p^2 + n / k).
+    The filter keeps each run's count, weight sum and centred sum of squared
+    weights over its survivors, and builds the covariance from these run
+    moments.  A removal scores each run in closed form, picks a run and then
+    a point inside it with one uniform, and recomputes that run's moments.
+    With k runs of about n / k points in R^p a removal costs O(k p^2 + n / k).
     The one uniform is the draw `Generator.choice(p=...)` makes, and the
     two-level pick lands where choice's search over all points would, up to
-    rounding in the scores, so the rng stream is the same.
+    rounding in the scores, so the rng stream is the same.  For the same
+    reason splitting a run into adjacent runs on the same row changes the
+    removals only through rounding.
 
     Raises TooManyRemoved once more than ceil(n / 2) points would be gone,
-    and ValueError on empty or non-finite input or weights not of shape (n,).
+    and ValueError on empty or non-finite input or run lengths that do not
+    sum to n.
     """
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[:, None]
-    n = pts.shape[0]
-    if n == 0:
-        raise ValueError("cannot filter an empty point set")
+    coef, sizes, w, starts = _runs(rows, lengths, weights)
+    n = w.size
     if lam < 0:
         raise ValueError("lam must be nonnegative")
-    w = np.ones(n) if weights is None else np.asarray(weights, dtype=float)
-    if w.shape != (n,):
-        raise ValueError(f"weights must have shape ({n},), got {w.shape}")
-    if not (np.isfinite(pts).all() and np.isfinite(w).all()):
-        raise ValueError("points and weights must be finite")
+    if not (np.isfinite(coef).all() and np.isfinite(w).all()):
+        raise ValueError("rows and weights must be finite")
 
-    weighted = pts * w[:, None]
-    scale = float(np.mean(np.einsum("ij,ij->i", weighted, weighted)))
-    # Run b holds rows starts[b]:starts[b] + sizes[b], all equal to coef[b].
-    new_row = np.any(pts[1:] != pts[:-1], axis=1)
-    edges = np.flatnonzero(np.concatenate(([True], new_row, [True])))
-    starts, sizes = edges[:-1], edges[1:] - edges[:-1]
-    coef = pts[starts]
     # Run moments of the surviving weights: count, sum, mean and centred sum
     # of squares m2, kept as rows sqrt(m2) * c (within) and mean * c (centres).
     root_cnt = np.sqrt(sizes)
     wsum = np.add.reduceat(w, starts)
     wbar = wsum / sizes
     dev = w - np.repeat(wbar, sizes)
-    within = coef * np.sqrt(np.add.reduceat(dev * dev, starts))[:, None]
+    m2 = np.add.reduceat(dev * dev, starts)
+    within = coef * np.sqrt(m2)[:, None]
     centres = coef * wbar[:, None]
+    # Mean squared norm of the points, sum_i w_i^2 = m2 + wsum * wbar per run.
+    scale = float((m2 + wsum * wbar) @ np.einsum("ij,ij->i", coef, coef)) / n
 
     max_removed = int(np.ceil(n / 2))
     alive = np.ones(n, dtype=bool)
@@ -174,22 +188,22 @@ def spectral_filter(
                              final_top_eigenvalue=mu,
                              iterations=iterations,
                              removed_indices=tuple(removed_order))
-    return weighted[alive].sum(axis=0) / m, diag
+    return (coef * wsum[:, None]).sum(axis=0) / m, diag
 
 
-def _gram_inverse_sqrt(actions: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Eigenbasis pieces of M_n = sum a_i a_i^T restricted to its span.
+def _gram_inverse_sqrt(rows: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenbasis pieces of M_n = sum_b lengths[b] c_b c_b^T restricted to its span.
 
-    Returns (basis Q, inv_sqrt_evals, evals) where Q has one orthonormal
-    column per retained eigenvalue.
+    Returns (basis Q, inv_sqrt_evals) where Q has one orthonormal column per
+    retained eigenvalue.
     """
-    gram = actions.T @ actions
+    gram = (rows * lengths[:, None]).T @ rows
     evals, evecs = np.linalg.eigh(gram)
     cutoff = max(float(evals[-1]) * EIG_FLOOR, 1e-300)
     keep = evals > cutoff
     if not keep.any():
         raise SingularGram("all played actions are numerically zero")
-    return evecs[:, keep], 1.0 / np.sqrt(evals[keep]), evals[keep]
+    return evecs[:, keep], 1.0 / np.sqrt(evals[keep])
 
 
 def _check_in_span(vectors: np.ndarray, basis: np.ndarray, label: str) -> None:
@@ -204,14 +218,15 @@ def _check_in_span(vectors: np.ndarray, basis: np.ndarray, label: str) -> None:
         )
 
 
-def vanilla_least_squares(actions: np.ndarray, rewards: np.ndarray) -> np.ndarray:
-    """Minimum-norm least squares M_n^+ sum_i a_i y_i."""
-    acts = np.asarray(actions, dtype=float)
-    y = np.asarray(rewards, dtype=float)
-    if acts.ndim != 2 or acts.shape[0] != y.shape[0]:
-        raise ValueError("actions and rewards must have matching first dimension")
-    basis, inv_sqrt, _ = _gram_inverse_sqrt(acts)
-    rhs = acts.T @ y
+def vanilla_least_squares(rows: np.ndarray, lengths: np.ndarray,
+                          rewards: np.ndarray) -> np.ndarray:
+    """Minimum-norm least squares M_n^+ sum_i a_i y_i over runs.
+
+    The right-hand side is sum_b c_b * (sum of run b's rewards).
+    """
+    rows, lengths, y, starts = _runs(rows, lengths, rewards)
+    basis, inv_sqrt = _gram_inverse_sqrt(rows, lengths)
+    rhs = rows.T @ np.add.reduceat(y, starts)
     return basis @ ((basis.T @ rhs) * inv_sqrt * inv_sqrt)
 
 
@@ -229,61 +244,44 @@ DEFAULT_CLEAN_SCALE_SQ = 0.75
 
 
 def robust_least_squares(
-    actions: np.ndarray,
+    rows: np.ndarray,
+    lengths: np.ndarray,
     rewards: np.ndarray,
     rng: np.random.Generator,
     query_actions: np.ndarray | None = None,
-    lam: float | None = None,
     clean_scale_sq: float = DEFAULT_CLEAN_SCALE_SQ,
-    reward_clip: float | None = None,
 ) -> RobustEstimate:
-    """Filtered least squares over played (action, reward) pairs.
+    """Filtered least squares over runs of played (action, reward) pairs.
 
     The points M_n^{-1/2} a_i y_i are passed through the spectral filter and
     the surviving mean w is mapped back as theta = n * M_n^{-1/2} w.  With no
-    removals this reproduces vanilla least squares exactly.
+    removals this reproduces vanilla least squares up to rounding.  Run b's
+    points lie on the line through its whitened row M_n^{-1/2} c_b, and the
+    filter gets them as that row, its length and the run's rewards.
 
-    The filter budget defaults to
+    The filter budget is
         lam = max_a ||a||^2_{M_n^+} * clean_scale_sq,
     the worst queried leverage times an a-priori bound on the second moment
     of one clean reported reward.  Tying the budget to the clean scale (and
     not to the realized sum of squares, which corruption inflates without
     bound) is what lets gross outliers trip the spectral check.  Callers that
-    add privacy noise should fold its variance into clean_scale_sq; `lam`
-    overrides the rule entirely.  `reward_clip` truncates rewards to
-    [-reward_clip, reward_clip] before any computation.
+    add privacy noise should fold its variance into clean_scale_sq.
 
-    `query_actions` (default: the played actions) is the set whose leverages
+    `query_actions` (default: the played rows) is the set whose leverages
     feed the budget; every queried direction must lie in the span of the
     played actions, otherwise SingularGram is raised.
     """
-    acts = np.asarray(actions, dtype=float)
-    y = np.asarray(rewards, dtype=float)
-    if acts.ndim != 2 or acts.shape[0] != y.shape[0]:
-        raise ValueError("actions and rewards must have matching first dimension")
-    n = acts.shape[0]
-    if n == 0:
-        raise ValueError("need at least one observation")
-    if reward_clip is not None:
-        if reward_clip <= 0:
-            raise ValueError("reward_clip must be positive")
-        y = np.clip(y, -reward_clip, reward_clip)
-
-    basis, inv_sqrt, _ = _gram_inverse_sqrt(acts)
-    queries = acts if query_actions is None else np.asarray(query_actions, dtype=float)
+    rows, lengths, y, _ = _runs(rows, lengths, rewards)
+    if clean_scale_sq <= 0:
+        raise ValueError("clean_scale_sq must be positive")
+    basis, inv_sqrt = _gram_inverse_sqrt(rows, lengths)
+    queries = rows if query_actions is None else np.asarray(query_actions, dtype=float)
     _check_in_span(queries, basis, "query action")
 
     # Leverages ||a||^2_{M_n^+} for the queried directions.
     q_coords = (queries @ basis) * inv_sqrt
-    max_lev = float(np.max(np.einsum("ij,ij->i", q_coords, q_coords)))
-    if lam is None:
-        if clean_scale_sq <= 0:
-            raise ValueError("clean_scale_sq must be positive")
-        lam = max_lev * clean_scale_sq
+    lam = float(np.max(np.einsum("ij,ij->i", q_coords, q_coords))) * clean_scale_sq
 
-    # Row i is M_n^{-1/2} a_i; the filter weighs it by y_i.  Equal
-    # consecutive rows (M1 plays of one action) form one run of the filter.
-    w, diag = spectral_filter((acts @ basis) * inv_sqrt, lam, rng, weights=y)
-    theta = basis @ (n * inv_sqrt * w)
-    return RobustEstimate(theta=theta, lam=float(lam), diagnostics=diag)
-
+    w, diag = spectral_filter(y, (rows @ basis) * inv_sqrt, lengths, lam, rng)
+    theta = basis @ (y.size * inv_sqrt * w)
+    return RobustEstimate(theta=theta, diagnostics=diag)

@@ -72,13 +72,16 @@ def test_criterion_02_clean_filter_equivalence():
         n = int(rng.integers(20, 500))
         A = vecs[rng.integers(0, k, size=n)]
         y = A @ theta + rng.normal(size=n)
-        est = robust_least_squares(A, y, np.random.default_rng(trial))
-        diff = est.theta - vanilla_least_squares(A, y)
+        # Every observation is its own run of length 1.
+        ones = np.ones(n, dtype=int)
+        est = robust_least_squares(A, ones, y, np.random.default_rng(trial))
+        diff = est.theta - vanilla_least_squares(A, ones, y)
         assert float(np.sqrt(diff @ (A.T @ A) @ diff)) <= 1e-8
         assert est.diagnostics.removed_count == 0
 
     pts = np.random.default_rng(99).normal(size=(400, 3))
-    mean, diag = spectral_filter(pts, 10.0, np.random.default_rng(1))
+    mean, diag = spectral_filter(np.ones(400), pts, np.ones(400, dtype=int), 10.0,
+                                 np.random.default_rng(1))
     assert diag.removed_count == 0
     assert np.array_equal(mean, pts.mean(axis=0))
 
@@ -91,20 +94,21 @@ def test_criterion_03_robust_estimation_under_contamination():
     vecs = inst.actions.vectors
     design = compute_design(inst.actions, tol=0.05)
     coreset = build_coreset(design, budget=2000, model="M1")
-    rows = np.repeat(vecs[[i for i, _ in coreset.entries]],
-                     [c for _, c in coreset.entries], axis=0)
-    clean = rows @ inst.theta_star
+    acts, lengths, _ = coreset.runs()
+    rows = vecs[acts]
+    clean = np.repeat(rows @ inst.theta_star, lengths)
+    n = clean.size
     robust_err, vanilla_err = [], []
     for seed in range(50):
         r = np.random.default_rng((0, seed, 77))
-        y = clean + r.normal(0, 1, rows.shape[0])
-        y = np.where(r.random(rows.shape[0]) < 0.1, 50.0, y)
+        y = clean + r.normal(0, 1, n)
+        y = np.where(r.random(n) < 0.1, 50.0, y)
         est = robust_least_squares(
-            rows, y, np.random.default_rng((0, seed, 88)), query_actions=vecs
+            rows, lengths, y, np.random.default_rng((0, seed, 88)), query_actions=vecs
         )
         robust_err.append(float(np.linalg.norm(est.theta - inst.theta_star)))
         vanilla_err.append(
-            float(np.linalg.norm(vanilla_least_squares(rows, y) - inst.theta_star))
+            float(np.linalg.norm(vanilla_least_squares(rows, lengths, y) - inst.theta_star))
         )
     assert float(np.median(robust_err)) <= 0.5
     assert float(np.median(vanilla_err)) >= 2.0

@@ -19,7 +19,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 SCRIPT = textwrap.dedent("""
-    import json, sys
+    import itertools, json, sys
     sys.path.insert(0, sys.argv[1])
     from tracer import Tracer, install
     from rpbandits import harness
@@ -30,12 +30,15 @@ SCRIPT = textwrap.dedent("""
     def clients(model, entries):
         return sum(n for _, n in entries) if model == "M1" else len(entries)
 
-    def filter_spans():
-        return sum(1 for s in tracer.spans if s[2] == "robust.spectral_filter")
+    def spans_of(name):
+        return sum(1 for s in tracer.spans if s[2] == name)
 
-    cells = {}
+    def filter_spans():
+        return spans_of("robust.spectral_filter")
+
+    cells, configs = {}, {}
     for model, threshold in (("M1", {}), ("M2", {"nu": 0.02})):
-        config = {
+        config = configs[model] = {
             "version": 1,
             "instance": {"generate": {"dim": 3, "num_actions": 10, "seed": 5}},
             "schedule": {"horizon": 3000},
@@ -59,7 +62,18 @@ SCRIPT = textwrap.dedent("""
             "filter_points": tracer.counters["robust.filter.points"] - points_before,
             "filtered_clients": clients(model, filtered),
         }
-    print(json.dumps({"spans": sorted({s[2] for s in tracer.spans}), "cells": cells}))
+    vanilla = {}
+    for (model, config), variant in itertools.product(configs.items(),
+                                                      ("vanilla", "non-robust")):
+        before = spans_of("robust.vanilla_least_squares")
+        trace = harness.run_cell(config, variant, 0)
+        vanilla[f"{model}/{variant}"] = {
+            "spans": spans_of("robust.vanilla_least_squares") - before,
+            "estimated_rounds": sum(1 for rec in trace.rounds
+                                    if rec.coreset_entries is not None),
+        }
+    print(json.dumps({"spans": sorted({s[2] for s in tracer.spans}), "cells": cells,
+                      "vanilla": vanilla}))
 """)
 
 
@@ -82,3 +96,9 @@ def test_tracer_wraps_env_and_privacy(tmp_path):
         assert cell["filter_spans"] > 0, model
         assert cell["filtered_clients"] > 0, model
         assert cell["filter_points"] == cell["filtered_clients"], model
+    # The vanilla and non-robust baselines estimate every exploration round
+    # through the name the tracer wraps.
+    assert len(out["vanilla"]) == 4
+    for variant, cell in out["vanilla"].items():
+        assert cell["estimated_rounds"] > 0, variant
+        assert cell["spans"] == cell["estimated_rounds"], variant

@@ -10,8 +10,8 @@ from rpbandits.design import (
     Coreset,
     Design,
     build_coreset,
+    _span_leverages,
     compute_design,
-    weighted_norm_sq,
 )
 from rpbandits.errors import InvalidNu, OutOfSpan
 
@@ -19,6 +19,11 @@ from rpbandits.errors import InvalidNu, OutOfSpan
 def unit_rows(rng, k, d):
     v = rng.normal(size=(k, d))
     return v / np.linalg.norm(v, axis=1, keepdims=True)
+
+
+def leverage(a, gram):
+    """<a, gram^+ a> of one vector, through the design's row-wise leverages."""
+    return float(_span_leverages(np.asarray(a, dtype=float)[None, :], gram)[0])
 
 
 # ---------------------------------------------------------------- ActionSet
@@ -50,16 +55,16 @@ def test_action_set_subset():
     assert np.array_equal(sub.vectors, np.eye(4)[[0, 2]])
 
 
-# ---------------------------------------------------------- weighted_norm_sq
+# ------------------------------------------------- leverages (_span_leverages)
 
 
 def test_weighted_norm_identity():
-    assert weighted_norm_sq(np.array([1.0, 0.0]), np.eye(2)) == pytest.approx(1.0)
+    assert leverage(np.array([1.0, 0.0]), np.eye(2)) == pytest.approx(1.0)
 
 
 def test_weighted_norm_diagonal():
     gram = np.diag([0.25, 1.0])
-    assert weighted_norm_sq(np.array([1.0, 0.0]), gram) == pytest.approx(4.0)
+    assert leverage(np.array([1.0, 0.0]), gram) == pytest.approx(4.0)
 
 
 def test_weighted_norm_rank_deficient_matches_reduced_solve():
@@ -71,13 +76,13 @@ def test_weighted_norm_rank_deficient_matches_reduced_solve():
     coeff = rng.normal(size=3)
     a = basis @ coeff
     expected = coeff @ np.linalg.solve(gram_small, coeff)
-    assert weighted_norm_sq(a, gram) == pytest.approx(expected, abs=1e-10)
+    assert leverage(a, gram) == pytest.approx(expected, abs=1e-10)
 
 
 def test_weighted_norm_out_of_span():
     gram = np.diag([1.0, 0.0])
     with pytest.raises(OutOfSpan):
-        weighted_norm_sq(np.array([0.0, 1.0]), gram)
+        leverage(np.array([0.0, 1.0]), gram)
 
 
 # ------------------------------------------------------------ compute_design
@@ -130,7 +135,7 @@ def test_kiefer_wolfowitz_certificate():
     tol = 0.05
     design = compute_design(acts, tol=tol)
     # max leverage over all candidate actions is the certificate
-    levs = [weighted_norm_sq(a, design.gram) for a in acts.vectors]
+    levs = [leverage(a, design.gram) for a in acts.vectors]
     assert max(levs) <= (1 + tol) * design.effective_dim + 1e-9
 
 
@@ -148,7 +153,7 @@ def test_certificate_matches_per_action_leverages(d, k, rank):
     vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
     design = compute_design(ActionSet(vecs), tol=0.25)
     assert design.effective_dim == rank
-    levs = [weighted_norm_sq(a, design.gram) for a in vecs]
+    levs = [leverage(a, design.gram) for a in vecs]
     assert design.gvalue == pytest.approx(max(levs), rel=1e-12)
 
 
@@ -204,7 +209,7 @@ def test_coreset_m2_truncation_rule():
     gram = np.diag([0.9, 0.1])
     design = Design(
         actions=acts, weights={0: 0.9, 1: 0.1}, gram=gram,
-        gvalue=weighted_norm_sq(np.array([0.0, 1.0]), gram),
+        gvalue=leverage(np.array([0.0, 1.0]), gram),
         effective_dim=2,
     )
     cs = build_coreset(design, budget=100, model="M2", nu=0.2)

@@ -1,6 +1,7 @@
 """Environment tests: instances, corruption strategies, aggregation, and the
 oracle/learner capability split."""
 
+import hashlib
 import itertools
 import json
 from pathlib import Path
@@ -11,6 +12,7 @@ from scipy import stats
 
 from rpbandits.design import ActionSet, Coreset
 from rpbandits.env import (
+    PLAY_CHUNK,
     AdversaryConfig,
     BanditInstance,
     EnvOracle,
@@ -543,3 +545,54 @@ def test_observe_batch_matches_golden():
         assert "".join("1" if c else "0" for c in corrupted) == flags, case
         assert raw.tolist() == golden["values"][raw_at], case
         assert reported.tolist() == golden["values"][reported_at], case
+
+
+def array_digest(arr: np.ndarray) -> list:
+    """sha256 of an array's bytes, with its shape and dtype."""
+    arr = np.ascontiguousarray(arr)
+    return [hashlib.sha256(arr.tobytes()).hexdigest(), list(arr.shape), str(arr.dtype)]
+
+
+def chunk_golden_batches(golden: dict):
+    """Every case of env_chunks_golden.json: (case, observe_batch arguments).
+
+    The noise kind cycles with the case index, so every kind meets every
+    model, stage and strategy without tripling the cases.
+    """
+    axes = golden["axes"]
+    entries = [tuple(e) for e in golden["entries"]]
+    total = sum(n for _, n in entries)
+    for i, combo in enumerate(itertools.product(*axes.values())):
+        case = dict(zip(axes, combo))
+        case["noise"] = golden["noise_cycle"][i % len(golden["noise_cycle"])]
+        inst = BanditInstance(
+            theta_star=np.array(golden["theta"]),
+            actions=ActionSet(np.eye(len(golden["theta"]))),
+            noise=case["noise"],
+        )
+        model = case["model"]
+        cs = Coreset(entries=entries, budget=total, model=model,
+                     nu=golden["nu"] if model == "M2" else None)
+        adv = AdversaryConfig(
+            alpha=case["alpha"], strategy=case["strategy"], magnitude=golden["magnitude"],
+            corrupt_stage=case["corrupt_stage"],
+            aggregate_corruption=case["aggregate_corruption"],
+        )
+        priv = PrivacyParams(epsilon=golden["epsilon"], enabled=case["privacy"], clip=case["clip"])
+        yield case, (inst, cs, adv, priv, np.random.default_rng(golden["seed"]))
+
+
+def test_observe_batch_matches_chunk_golden():
+    # env_chunks_golden.json was recorded from a whole-batch observe_batch
+    # that drew and transformed every play at once.  Its coreset has 61,010
+    # plays, more than three chunks of PLAY_CHUNK plus a remainder: M1 entries
+    # straddle chunk ends, and M2 has clients both larger and smaller than a
+    # chunk.  Each returned array must match bit for bit.
+    golden = json.loads((DATA_DIR / "env_chunks_golden.json").read_text())
+    total = sum(n for _, n in golden["entries"])
+    assert total > 3 * PLAY_CHUNK and total % PLAY_CHUNK
+    cases = list(chunk_golden_batches(golden))
+    assert len(cases) == len(golden["cases"]) == 320
+    for (case, args), expected in zip(cases, golden["cases"]):
+        got = [array_digest(a) for a in observe_batch(*args)]
+        assert got == expected, case

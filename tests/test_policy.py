@@ -13,7 +13,6 @@ from rpbandits.design import ActionSet
 from rpbandits.env import AdversaryConfig, BanditInstance, LearnerEnv, generate_instance
 from rpbandits.errors import CheckpointOutOfRange, TooManyRemoved
 from rpbandits.policy import (
-    CSV_FIELDS,
     REGRET_CHUNK,
     RegretTrace,
     RoundRecord,
@@ -260,13 +259,6 @@ class TestRegretTrace:
             trace.to_json_dict(), sort_keys=True
         )
 
-    def test_csv_rows_match_schema(self):
-        rows = make_trace().csv_rows()
-        assert [list(r) for r in rows] == [CSV_FIELDS, CSV_FIELDS]
-        assert float(rows[0]["gamma"]) == 0.25
-        assert rows[1]["gamma"] == ""
-        assert float(rows[1]["cumulative_regret"]) == 6.5
-
 
 class TestEliminationRun:
     def test_single_arm_commits_immediately(self):
@@ -404,8 +396,6 @@ class TestEliminationRun:
             trace.to_json_dict(), sort_keys=True
         )
         assert back.final_regret == trace.final_regret
-        for row in back.csv_rows():
-            assert list(row) == CSV_FIELDS
         with pytest.raises(CheckpointOutOfRange):
             back.cumulative_at(801)
 

@@ -25,12 +25,23 @@ def unit_rows(rng, k, d):
     return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
+def singles(rows):
+    """Run lengths that make every row its own run of one observation."""
+    return np.ones(len(rows), dtype=int)
+
+
+def points(pts):
+    """A point cloud as filter input: unit weights on runs of length 1."""
+    pts = np.asarray(pts, dtype=float).reshape(len(pts), -1)
+    return np.ones(len(pts)), pts, singles(pts)
+
+
 # ------------------------------------------------------------ spectral_filter
 
 
 def test_filter_identical_points_zero_covariance():
     pts = np.tile([1.5, -0.5], (10, 1))
-    mean, diag = spectral_filter(pts, 0.0, np.random.default_rng(0))
+    mean, diag = spectral_filter(*points(pts), 0.0, np.random.default_rng(0))
     assert np.allclose(mean, [1.5, -0.5])
     assert diag.removed_count == 0
 
@@ -38,7 +49,7 @@ def test_filter_identical_points_zero_covariance():
 def test_filter_gaussian_cloud_no_removal():
     rng = np.random.default_rng(1)
     pts = rng.normal(size=(100, 3))
-    mean, diag = spectral_filter(pts, 10.0, np.random.default_rng(2))
+    mean, diag = spectral_filter(*points(pts), 10.0, np.random.default_rng(2))
     assert diag.removed_count == 0
     # no-removal path is exactly the empirical mean
     assert np.array_equal(mean, pts.mean(axis=0))
@@ -52,7 +63,7 @@ def test_filter_one_dim_outliers_monte_carlo():
     for seed in range(50):
         r = np.random.default_rng(seed + 1000)
         pts = np.concatenate([r.normal(0, 1, 180), np.full(20, 100.0)])
-        mean, diag = spectral_filter(pts, 2.0, np.random.default_rng(seed + 5000))
+        mean, diag = spectral_filter(*points(pts), 2.0, np.random.default_rng(seed + 5000))
         est_vals.append(abs(float(mean[0])))
         if set(range(180, 200)) <= set(diag.removed_indices):
             all_removed += 1
@@ -65,7 +76,7 @@ def test_filter_too_many_removed():
     # two equal-size clusters far apart: no stopping point before the cap
     pts = np.concatenate([np.zeros(10), np.full(10, 1000.0)])
     with pytest.raises(TooManyRemoved) as exc:
-        spectral_filter(pts, 0.001, np.random.default_rng(3))
+        spectral_filter(*points(pts), 0.001, np.random.default_rng(3))
     assert exc.value.diagnostics.removed_count <= 10
 
 
@@ -73,7 +84,7 @@ def test_filter_removal_cap_is_half():
     rng = np.random.default_rng(4)
     pts = rng.normal(size=(21, 2)) * 100
     try:
-        _, diag = spectral_filter(pts, 1e-9, np.random.default_rng(5))
+        _, diag = spectral_filter(*points(pts), 1e-9, np.random.default_rng(5))
         removed = diag.removed_count
     except TooManyRemoved as exc:
         removed = exc.diagnostics.removed_count
@@ -84,7 +95,7 @@ def test_filter_success_eigenvalue_below_threshold():
     rng = np.random.default_rng(6)
     pts = np.concatenate([rng.normal(size=(90, 2)), rng.normal(size=(10, 2)) + 30])
     lam = 2.0
-    _, diag = spectral_filter(pts, lam, np.random.default_rng(7))
+    _, diag = spectral_filter(*points(pts), lam, np.random.default_rng(7))
     assert diag.final_top_eigenvalue < 4 * lam
     assert diag.removed_count == len(diag.removed_indices)
 
@@ -92,39 +103,51 @@ def test_filter_success_eigenvalue_below_threshold():
 def test_filter_deterministic_given_seed():
     rng = np.random.default_rng(8)
     pts = np.concatenate([rng.normal(size=(50, 2)), rng.normal(size=(8, 2)) + 20])
-    m1, d1 = spectral_filter(pts, 1.0, np.random.default_rng(99))
-    m2, d2 = spectral_filter(pts, 1.0, np.random.default_rng(99))
+    m1, d1 = spectral_filter(*points(pts), 1.0, np.random.default_rng(99))
+    m2, d2 = spectral_filter(*points(pts), 1.0, np.random.default_rng(99))
     assert np.array_equal(m1, m2)
     assert d1.removed_indices == d2.removed_indices
 
 
 def test_filter_rejects_negative_lambda():
     with pytest.raises(ValueError):
-        spectral_filter(np.zeros((3, 2)), -1.0, np.random.default_rng(0))
+        spectral_filter(*points(np.zeros((3, 2))), -1.0, np.random.default_rng(0))
 
 
 def test_filter_empty_input():
     with pytest.raises(ValueError):
-        spectral_filter(np.zeros((0, 2)), 1.0, np.random.default_rng(0))
+        spectral_filter(*points(np.zeros((0, 2))), 1.0, np.random.default_rng(0))
 
 
-@pytest.mark.parametrize("points, weights", [
+@pytest.mark.parametrize("rows, weights", [
     (np.array([[1.0, 0.0], [np.nan, 0.0], [0.0, 1.0]]), None),
     (np.array([[1.0, 0.0], [np.inf, 0.0], [0.0, 1.0]]), None),
     (np.eye(3), np.array([1.0, np.nan, 2.0])),
     (np.eye(3), np.array([1.0, -np.inf, 2.0])),
 ], ids=["nan-point", "inf-point", "nan-weight", "inf-weight"])
-def test_filter_rejects_non_finite_input(points, weights):
+def test_filter_rejects_non_finite_input(rows, weights):
+    weights = np.ones(len(rows)) if weights is None else weights
     with pytest.raises(ValueError, match="finite"):
-        spectral_filter(points, 1.0, np.random.default_rng(0), weights=weights)
+        spectral_filter(weights, rows, singles(rows), 1.0, np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("weights", [np.ones(2), np.ones(4), np.ones((3, 1))],
                          ids=["short", "long", "column"])
 def test_filter_rejects_misshapen_weights(weights):
     with pytest.raises(ValueError, match="shape"):
-        spectral_filter(np.eye(3), 1.0, np.random.default_rng(0), weights=weights)
+        spectral_filter(weights, np.eye(3), singles(np.eye(3)), 1.0, np.random.default_rng(0))
 
+
+
+@pytest.mark.parametrize("lengths, match", [
+    (np.array([1, 0, 2]), "positive"),
+    (np.array([2, 1]), "one run length per row"),
+], ids=["empty-run", "lengths-per-row"])
+def test_runs_reject_bad_lengths(lengths, match):
+    with pytest.raises(ValueError, match=match):
+        spectral_filter(np.ones(3), np.eye(3), lengths, 1.0, np.random.default_rng(0))
+    with pytest.raises(ValueError, match=match):
+        vanilla_least_squares(np.eye(3), lengths, np.ones(3))
 
 def test_search_skips_zero_scores_and_holds_to_last_positive():
     cum = np.cumsum([0.0, 1.0, 0.0, 2.0, 0.0])
@@ -135,13 +158,14 @@ def test_search_skips_zero_scores_and_holds_to_last_positive():
 
 
 def test_filter_runs_match_single_points():
-    # Weighted runs of equal rows remove the same points, in the same order
-    # and with the same rng draws, as the premultiplied points taken one by
-    # one (every run of length 1).
-    rows, y, _, _ = line_case("M1", 1500, 0.0, 0.1, 0)
+    # Weighted runs remove the same points, in the same order and with the
+    # same rng draws, as the premultiplied points taken one by one (every run
+    # of length 1).
+    rows, lengths, y, _, _ = line_case("M1", 1500, 0.0, 0.1, 0)
     by_run, by_point = np.random.default_rng(9), np.random.default_rng(9)
-    mean_r, diag_r = spectral_filter(rows, 1.0, by_run, weights=y)
-    mean_p, diag_p = spectral_filter(rows * y[:, None], 1.0, by_point)
+    mean_r, diag_r = spectral_filter(y, rows, lengths, 1.0, by_run)
+    mean_p, diag_p = spectral_filter(*points(np.repeat(rows, lengths, axis=0) * y[:, None]),
+                                     1.0, by_point)
     assert diag_r.removed_count > 100
     assert diag_r.removed_indices == diag_p.removed_indices
     assert diag_r.iterations == diag_p.iterations
@@ -191,7 +215,7 @@ def test_filter_golden_removal_stream():
     pts = rng.normal(size=(n, p))
     pts[:n_bad] = 8.0 * np.ones(p) / np.sqrt(p) + 0.5 * rng.normal(size=(n_bad, p))
     pts = pts[rng.permutation(n)]
-    _, diag = spectral_filter(pts, 0.5, np.random.default_rng(7))
+    _, diag = spectral_filter(*points(pts), 0.5, np.random.default_rng(7))
     assert list(diag.removed_indices) == golden["removed_indices"]
     assert diag.iterations == golden["iterations"]
     assert diag.final_top_eigenvalue == pytest.approx(
@@ -214,7 +238,8 @@ LINE_CASES = (
 
 
 def line_case(model, budget, laplace, share, seed):
-    """Played rows, rewards, query actions and clean scale of one case.
+    """Played rows and run lengths, rewards, query actions and clean scale
+    of one case.
 
     A `share` of the rewards is replaced by +-50 with random signs.
     """
@@ -222,24 +247,25 @@ def line_case(model, budget, laplace, share, seed):
     vecs = inst.actions.vectors
     design = compute_design(inst.actions, tol=0.25)
     nu = 0.02 if model == "M2" else None
-    acts, counts = build_coreset(design, budget, model, nu).clients()
+    acts, lengths, counts = build_coreset(design, budget, model, nu).runs()
     rows = vecs[acts]
-    n = len(acts)
+    counts = np.repeat(counts, lengths)
+    n = len(counts)
     r = np.random.default_rng((5, seed))
-    y = rows @ inst.theta_star + r.normal(size=n) / np.sqrt(counts)
+    y = np.repeat(rows, lengths, axis=0) @ inst.theta_star + r.normal(size=n) / np.sqrt(counts)
     if laplace:
         y = y + r.laplace(scale=laplace / counts, size=n)
     bad = r.random(n) < share
     y[bad] = 50.0 * r.choice([-1.0, 1.0], size=int(bad.sum()))
-    return rows, y, vecs, DEFAULT_CLEAN_SCALE_SQ + 2.0 * laplace ** 2
+    return rows, lengths, y, vecs, DEFAULT_CLEAN_SCALE_SQ + 2.0 * laplace ** 2
 
 
 def run_line_case(model, budget, laplace, share, seed):
     """Filter outcome of one case and the next uniform of its rng."""
-    rows, y, vecs, scale = line_case(model, budget, laplace, share, seed)
+    rows, lengths, y, vecs, scale = line_case(model, budget, laplace, share, seed)
     rng = np.random.default_rng((6, seed))
     try:
-        est = robust_least_squares(rows, y, rng, query_actions=vecs,
+        est = robust_least_squares(rows, lengths, y, rng, query_actions=vecs,
                                    clean_scale_sq=scale)
         theta, diag, raised = est.theta, est.diagnostics, False
     except TooManyRemoved as exc:
@@ -267,6 +293,33 @@ def test_filter_lines_golden(case):
         assert np.linalg.norm(theta - expected) <= 1e-10 * np.linalg.norm(expected)
 
 
+
+@pytest.mark.parametrize("case", LINE_CASES[:5], ids=[c[0] for c in LINE_CASES[:5]])
+def test_adjacent_runs_on_equal_rows_match_merged_run(case):
+    # An instance may list one action vector under two indices, and a coreset
+    # then holds adjacent entries on equal rows.  Passed as the separate runs
+    # they are, every run here split in two, they remove the same points in
+    # the same order with the same rng draws as the one merged run that
+    # detecting runs from equal consecutive rows formed.
+    rows, lengths, y, vecs, scale = line_case(*case[1:])
+    split_rows = np.repeat(rows, 2, axis=0)
+    split_lengths = np.column_stack([lengths // 2, lengths - lengths // 2]).ravel()
+    keep = split_lengths > 0
+    outcomes = []
+    for r, n in ((rows, lengths), (split_rows[keep], split_lengths[keep])):
+        rng = np.random.default_rng((6, case[-1]))
+        est = robust_least_squares(r, n, y, rng, query_actions=vecs, clean_scale_sq=scale)
+        outcomes.append((est, rng.random()))
+    (merged, next_merged), (split, next_split) = outcomes
+    assert merged.diagnostics.removed_count > 0
+    assert split.diagnostics.removed_indices == merged.diagnostics.removed_indices
+    assert split.diagnostics.iterations == merged.diagnostics.iterations
+    assert next_split == next_merged
+    assert split.diagnostics.final_top_eigenvalue == pytest.approx(
+        merged.diagnostics.final_top_eigenvalue, rel=1e-12)
+    assert np.linalg.norm(split.theta - merged.theta) <= 1e-12 * np.linalg.norm(merged.theta)
+
+
 # ------------------------------------------------------ robust_least_squares
 
 
@@ -274,20 +327,21 @@ def test_noiseless_basis_recovery():
     theta = np.array([0.4, -0.3, 0.2, 0.6])
     actions = np.eye(4)
     rewards = actions @ theta
-    est = robust_least_squares(actions, rewards, np.random.default_rng(0))
+    est = robust_least_squares(actions, singles(actions), rewards, np.random.default_rng(0))
     assert np.linalg.norm(est.theta - theta) <= 1e-10
     assert est.diagnostics.removed_count == 0
 
 
 def test_zero_rewards_zero_estimate():
     actions = np.eye(3)
-    est = robust_least_squares(actions, np.zeros(3), np.random.default_rng(0))
+    est = robust_least_squares(actions, singles(actions), np.zeros(3), np.random.default_rng(0))
     assert np.allclose(est.theta, 0.0)
 
 
 def test_single_action_reduces_to_projection():
     actions = np.array([[1.0, 0.0, 0.0]])
-    est = robust_least_squares(actions, np.array([3.0]), np.random.default_rng(0))
+    est = robust_least_squares(actions, singles(actions), np.array([3.0]),
+                               np.random.default_rng(0))
     assert np.allclose(est.theta, [3.0, 0.0, 0.0])
 
 
@@ -295,7 +349,7 @@ def test_gram_attached_and_psd():
     rng = np.random.default_rng(10)
     A = unit_rows(rng, 30, 4)[rng.integers(0, 30, size=100)]
     y = rng.normal(size=100)
-    est = robust_least_squares(A, y, np.random.default_rng(1))
+    est = robust_least_squares(A, singles(A), y, np.random.default_rng(1))
     assert np.all(np.isfinite(est.theta))
 
 
@@ -312,8 +366,8 @@ def test_clean_reduction_matches_vanilla():
         n = int(rng.integers(20, 500))
         A = vecs[rng.integers(0, k, size=n)]
         y = A @ theta + rng.normal(size=n)
-        est = robust_least_squares(A, y, np.random.default_rng(trial))
-        v = vanilla_least_squares(A, y)
+        est = robust_least_squares(A, singles(A), y, np.random.default_rng(trial))
+        v = vanilla_least_squares(A, singles(A), y)
         diff = est.theta - v
         m_norm = float(np.sqrt(diff @ (A.T @ A) @ diff))
         assert m_norm <= 1e-8
@@ -324,7 +378,7 @@ def test_vanilla_matches_dense_normal_equations():
     rng = np.random.default_rng(12)
     A = rng.normal(size=(200, 5))
     y = rng.normal(size=200)
-    theta = vanilla_least_squares(A, y)
+    theta = vanilla_least_squares(A, singles(A), y)
     expected = np.linalg.solve(A.T @ A, A.T @ y)
     assert np.allclose(theta, expected, atol=1e-9)
 
@@ -334,7 +388,7 @@ def test_vanilla_noiseless_recovery():
     theta = np.array([0.2, -0.5, 0.1])
     A = unit_rows(rng, 10, 3)
     y = A @ theta
-    assert np.linalg.norm(vanilla_least_squares(A, y) - theta) <= 1e-10
+    assert np.linalg.norm(vanilla_least_squares(A, singles(A), y) - theta) <= 1e-10
 
 
 def test_rotation_equivariance_clean_path():
@@ -345,8 +399,8 @@ def test_rotation_equivariance_clean_path():
     theta /= 2 * np.linalg.norm(theta)
     y = A @ theta + rng.normal(size=120)
     q, _ = np.linalg.qr(rng.normal(size=(d, d)))
-    est = robust_least_squares(A, y, np.random.default_rng(15))
-    est_rot = robust_least_squares(A @ q.T, y, np.random.default_rng(15))
+    est = robust_least_squares(A, singles(A), y, np.random.default_rng(15))
+    est_rot = robust_least_squares(A @ q.T, singles(A), y, np.random.default_rng(15))
     assert est.diagnostics.removed_count == 0
     assert est_rot.diagnostics.removed_count == 0
     assert np.allclose(est_rot.theta, q @ est.theta, atol=1e-9)
@@ -359,19 +413,20 @@ def test_contamination_recovery_beats_vanilla():
     vecs = inst.actions.vectors
     design = compute_design(inst.actions, tol=0.05)
     coreset = build_coreset(design, budget=2000, model="M1")
-    rows = np.repeat(vecs[[i for i, _ in coreset.entries]],
-                     [c for _, c in coreset.entries], axis=0)
+    acts, lengths, _ = coreset.runs()
+    rows = vecs[acts]
     theta = inst.theta_star
-    clean = rows @ theta
+    clean = np.repeat(rows @ theta, lengths)
+    n = clean.size
     robust_err, vanilla_err = [], []
     for seed in range(50):
         r = np.random.default_rng((0, seed, 77))
-        y = clean + r.normal(0, 1, rows.shape[0])
-        y = np.where(r.random(rows.shape[0]) < 0.1, 50.0, y)
-        est = robust_least_squares(rows, y, np.random.default_rng((0, seed, 88)),
+        y = clean + r.normal(0, 1, n)
+        y = np.where(r.random(n) < 0.1, 50.0, y)
+        est = robust_least_squares(rows, lengths, y, np.random.default_rng((0, seed, 88)),
                                    query_actions=vecs)
         robust_err.append(float(np.linalg.norm(est.theta - theta)))
-        vanilla_err.append(float(np.linalg.norm(vanilla_least_squares(rows, y) - theta)))
+        vanilla_err.append(float(np.linalg.norm(vanilla_least_squares(rows, lengths, y) - theta)))
     assert float(np.median(robust_err)) <= 0.5
     assert np.mean(np.asarray(robust_err) <= 0.5) >= 0.9
     assert float(np.median(vanilla_err)) >= 2.0
@@ -382,8 +437,8 @@ def test_robust_deterministic():
     A = unit_rows(rng, 20, 3)[rng.integers(0, 20, size=300)]
     y = A @ np.array([0.5, 0.1, -0.2]) + rng.normal(size=300)
     y[:30] = 40.0
-    e1 = robust_least_squares(A, y, np.random.default_rng(17))
-    e2 = robust_least_squares(A, y, np.random.default_rng(17))
+    e1 = robust_least_squares(A, singles(A), y, np.random.default_rng(17))
+    e2 = robust_least_squares(A, singles(A), y, np.random.default_rng(17))
     assert np.array_equal(e1.theta, e2.theta)
     assert e1.diagnostics.removed_indices == e2.diagnostics.removed_indices
 
@@ -391,24 +446,9 @@ def test_robust_deterministic():
 def test_query_out_of_span_raises():
     actions = np.array([[1.0, 0.0], [1.0, 0.0]])
     with pytest.raises(SingularGram):
-        robust_least_squares(actions, np.array([1.0, 1.0]),
+        robust_least_squares(actions, singles(actions), np.array([1.0, 1.0]),
                              np.random.default_rng(0),
                              query_actions=np.array([[0.0, 1.0]]))
-
-
-def test_reward_clip_applied():
-    actions = np.eye(2)
-    rewards = np.array([100.0, -100.0])
-    est = robust_least_squares(actions, rewards, np.random.default_rng(0),
-                               reward_clip=1.0)
-    assert np.allclose(est.theta, [1.0, -1.0])
-
-
-def test_lam_override_respected():
-    actions = np.eye(2)
-    est = robust_least_squares(actions, np.array([0.5, 0.5]),
-                               np.random.default_rng(0), lam=7.0)
-    assert est.lam == 7.0
 
 
 def test_default_scale_constant_frozen():
