@@ -115,8 +115,11 @@ def test_filter_rejects_negative_lambda():
 
 
 def test_filter_empty_input():
-    with pytest.raises(ValueError):
-        spectral_filter(*points(np.zeros((0, 2))), 1.0, np.random.default_rng(0))
+    no_runs = np.zeros((0, 2)), np.zeros(0, dtype=int)
+    with pytest.raises(ValueError, match="at least one"):
+        spectral_filter(np.zeros(0), *no_runs, 1.0, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="at least one"):
+        vanilla_least_squares(*no_runs, np.zeros(0))
 
 
 @pytest.mark.parametrize("rows, weights", [
