@@ -20,7 +20,6 @@ from .env import (
     EnvOracle,
     LearnerEnv,
     generate_instance,
-    instantaneous_regret,
     load_instance,
     save_instance,
 )
@@ -103,7 +102,6 @@ __all__ = [
     "derive_entropy",
     "emit_plotdata",
     "generate_instance",
-    "instantaneous_regret",
     "laplace_icdf",
     "laplace_scale",
     "load_instance",

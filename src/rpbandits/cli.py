@@ -5,7 +5,7 @@ import json
 import os
 import sys
 
-from .env import generate_instance, save_instance
+from .env import NOISE_KINDS, generate_instance, save_instance
 from .errors import BanditError
 from .harness import (
     emit_plotdata,
@@ -41,7 +41,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--dim", type=int, required=True)
     gen.add_argument("--num-actions", type=int, required=True)
     gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--noise", choices=["gaussian", "uniform", "zero"], default="gaussian")
+    gen.add_argument("--noise", choices=NOISE_KINDS, default="gaussian")
     gen.add_argument("--theta-norm", type=float, default=1.0)
     gen.add_argument("--out", required=True, help="path for the instance JSON")
 

@@ -20,6 +20,11 @@ RANK_TOL = 1e-10
 EIG_FLOOR = 1e-12
 SPAN_TOL = 1e-8
 PRUNE_FRACTION = 1e-6
+# Frank-Wolfe iteration cap, and the factor c of the support bound
+# c * r * max(1, log log r).
+MAX_ITERS = 5000
+SUPPORT_CONSTANT = 4.0
+MODELS = ("M1", "M2")  # per-reward and aggregating clients
 
 
 @dataclass(frozen=True)
@@ -80,30 +85,28 @@ def _span_leverages(vecs: np.ndarray, gram: np.ndarray) -> np.ndarray:
     return np.sum(proj[:, keep] ** 2 / evals[keep], axis=1)
 
 
-def _support_bound(r: int, support_constant: float) -> int:
+def _support_bound(r: int) -> int:
     if r <= 0:
         return 0
     loglog = np.log(max(np.log(max(r, 2)), 1e-12))
-    return int(np.floor(support_constant * r * max(1.0, loglog) + 1e-9))
+    return int(np.floor(SUPPORT_CONSTANT * r * max(1.0, loglog) + 1e-9))
 
 
 @dataclass(frozen=True)
 class Design:
     """Distribution over action indices with its Gram and leverage certificate."""
 
-    actions: ActionSet
     weights: dict[int, float]
     gram: np.ndarray = field(repr=False)
     gvalue: float
     effective_dim: int
-    support_constant: float = 4.0
 
     @property
     def support(self) -> list[int]:
         return sorted(self.weights)
 
     def support_bound(self) -> int:
-        return _support_bound(self.effective_dim, self.support_constant)
+        return _support_bound(self.effective_dim)
 
     def validate(self) -> None:
         total = sum(self.weights.values())
@@ -120,14 +123,6 @@ class Design:
                 f"gvalue {self.gvalue:.6g} exceeds twice the effective dimension"
             )
 
-    def to_json_dict(self) -> dict:
-        return {
-            "weights": {str(k): v for k, v in sorted(self.weights.items())},
-            "gvalue": self.gvalue,
-            "effective_dim": self.effective_dim,
-            "support_constant": self.support_constant,
-        }
-
 
 def _greedy_basis(coords: np.ndarray, rank: int) -> np.ndarray:
     """Indices of a well-conditioned spanning subset, via pivoted QR."""
@@ -140,12 +135,7 @@ def _leverages(coords: np.ndarray, gram: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ji->i", coords, sol)
 
 
-def compute_design(
-    actions: ActionSet,
-    tol: float = 0.05,
-    max_iters: int = 5000,
-    support_constant: float = 4.0,
-) -> Design:
+def compute_design(actions: ActionSet, tol: float = 0.05) -> Design:
     """Near-optimal design on `actions` with a certified leverage bound.
 
     Runs away-step Frank-Wolfe on log det M(w) inside the span of the action
@@ -155,7 +145,7 @@ def compute_design(
     support is thinned further if it exceeds the allowed bound.
 
     Raises FailsToConverge if the certificate still exceeds 2 r after
-    max_iters iterations and pruning.
+    MAX_ITERS iterations and pruning.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -174,7 +164,7 @@ def compute_design(
     w[_greedy_basis(coords, rank)] = 1.0 / rank
 
     target = (1.0 + tol) * rank
-    for _ in range(max_iters):
+    for _ in range(MAX_ITERS):
         gram = coords.T @ (coords * w[:, None])
         lev = _leverages(coords, gram)
         j_fw = int(np.argmax(lev))
@@ -218,24 +208,17 @@ def compute_design(
 
     w[w < PRUNE_FRACTION / K] = 0.0
     w /= w.sum()
-    w = _thin_support(coords, w, rank, _support_bound(rank, support_constant))
+    w = _thin_support(coords, w, rank, _support_bound(rank))
 
     gram_full = (vecs * w[:, None]).T @ vecs
     gvalue = float(np.max(_span_leverages(vecs, gram_full)))
     if gvalue > 2.0 * rank + 1e-9:
         raise FailsToConverge(
             f"design certificate {gvalue:.4f} exceeds {2 * rank} "
-            f"after {max_iters} iterations"
+            f"after {MAX_ITERS} iterations"
         )
     weights = {int(i): float(w[i]) for i in np.flatnonzero(w > 0)}
-    design = Design(
-        actions=actions,
-        weights=weights,
-        gram=gram_full,
-        gvalue=gvalue,
-        effective_dim=rank,
-        support_constant=support_constant,
-    )
+    design = Design(weights=weights, gram=gram_full, gvalue=gvalue, effective_dim=rank)
     design.validate()
     return design
 
@@ -267,9 +250,7 @@ class Coreset:
     """Integer play counts per action index for one exploration round."""
 
     entries: list[tuple[int, int]]  # (action index, play count), sorted by index
-    budget: int
-    model: str  # "M1" or "M2"
-    nu: float | None = None
+    model: str  # one of MODELS
 
     @property
     def total(self) -> int:
@@ -304,7 +285,7 @@ def build_coreset(design: Design, budget: int, model: str, nu: float | None = No
     requires 0 < nu < 1 and keeps the total at most
     support + budget * (1 + support * nu).
     """
-    if model not in ("M1", "M2"):
+    if model not in MODELS:
         raise ValueError(f"unknown client model {model!r}")
     if budget < 1:
         raise ValueError("round budget must be at least 1")
@@ -319,5 +300,4 @@ def build_coreset(design: Design, budget: int, model: str, nu: float | None = No
         # Forgive float fuzz just above an integer before taking the ceiling.
         count = int(np.ceil(x - 1e-9 * max(1.0, x)))
         entries.append((idx, max(count, 1)))
-    return Coreset(entries=entries, budget=budget, model=model,
-                   nu=nu if model == "M2" else None)
+    return Coreset(entries=entries, model=model)

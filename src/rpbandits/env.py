@@ -29,6 +29,7 @@ reports in place.
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -60,9 +61,12 @@ class BanditInstance:
             raise ValueError(f"noise must be one of {NOISE_KINDS}, got {self.noise!r}")
         object.__setattr__(self, "theta_star", theta)
 
-    @property
+    @cached_property
     def mean_rewards(self) -> np.ndarray:
-        return self.actions.vectors @ self.theta_star
+        """Expected reward of every action, computed once (read-only)."""
+        means = self.actions.vectors @ self.theta_star
+        means.flags.writeable = False
+        return means
 
     @property
     def optimal_index(self) -> int:
@@ -138,21 +142,6 @@ class AdversaryConfig:
             raise ValueError(f"magnitude must lie in [0, {MAX_MAGNITUDE}]")
         if self.corrupt_stage not in CORRUPT_STAGES:
             raise ValueError(f"corrupt_stage must be one of {CORRUPT_STAGES}")
-
-    def to_json_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "strategy": self.strategy,
-            "magnitude": self.magnitude,
-            "corrupt_stage": self.corrupt_stage,
-            "aggregate_corruption": self.aggregate_corruption,
-        }
-
-
-def instantaneous_regret(instance: BanditInstance, action_index: int) -> float:
-    """Expected regret <a* - a, theta*> of one play of the given action."""
-    means = instance.mean_rewards
-    return float(means[instance.optimal_index] - means[action_index])
 
 
 def _noise_draws(kind: str, size: int, rng: np.random.Generator) -> np.ndarray:
@@ -331,6 +320,9 @@ class EnvOracle:
 
     def __init__(self, instance: BanditInstance):
         self._instance = instance
+        means = instance.mean_rewards
+        # Expected regret <a* - a, theta*> of one play of each action.
+        self._regrets = means[instance.optimal_index] - means
 
     @property
     def theta_star(self) -> np.ndarray:
@@ -341,7 +333,7 @@ class EnvOracle:
         return self._instance.optimal_index
 
     def regret_of(self, action_index: int) -> float:
-        return instantaneous_regret(self._instance, action_index)
+        return float(self._regrets[action_index])
 
 
 class LearnerEnv:

@@ -17,7 +17,12 @@ from dataclasses import dataclass, replace
 import jsonschema
 import numpy as np
 
+from .design import MODELS
 from .env import (
+    CORRUPT_STAGES,
+    MAX_MAGNITUDE,
+    NOISE_KINDS,
+    STRATEGIES,
     AdversaryConfig,
     BanditInstance,
     LearnerEnv,
@@ -68,7 +73,7 @@ CONFIG_SCHEMA = {
                                 "actions": {"type": "array"},
                             },
                         },
-                        "noise": {"enum": ["gaussian", "uniform", "zero"]},
+                        "noise": {"enum": list(NOISE_KINDS)},
                     },
                 },
                 "generate": {
@@ -79,7 +84,7 @@ CONFIG_SCHEMA = {
                         "dim": {"type": "integer", "minimum": 1},
                         "num_actions": {"type": "integer", "minimum": 1},
                         "seed": {"type": "integer"},
-                        "noise": {"enum": ["gaussian", "uniform", "zero"]},
+                        "noise": {"enum": list(NOISE_KINDS)},
                         "theta_norm": {"type": "number", "minimum": 0, "maximum": 1},
                     },
                 },
@@ -96,17 +101,15 @@ CONFIG_SCHEMA = {
                 "num_rounds": {"type": "integer", "minimum": 2},
             },
         },
-        "model": {"enum": ["M1", "M2"]},
+        "model": {"enum": list(MODELS)},
         "adversary": {
             "type": "object",
             "additionalProperties": False,
             "properties": {
                 "alpha": {"type": "number", "minimum": 0, "exclusiveMaximum": 0.25},
-                "strategy": {
-                    "enum": ["none", "constant", "large-positive", "sign-flip", "anti-optimal"]
-                },
-                "magnitude": {"type": "number", "minimum": 0, "maximum": 100},
-                "corrupt_stage": {"enum": ["pre-privacy", "post-privacy"]},
+                "strategy": {"enum": list(STRATEGIES)},
+                "magnitude": {"type": "number", "minimum": 0, "maximum": MAX_MAGNITUDE},
+                "corrupt_stage": {"enum": list(CORRUPT_STAGES)},
                 "aggregate_corruption": {"type": "boolean"},
             },
         },
@@ -139,7 +142,7 @@ CONFIG_SCHEMA = {
         "master_seed": {"type": "integer"},
         "baselines": {
             "type": "array",
-            "items": {"enum": ["vanilla", "non-private", "non-robust"]},
+            "items": {"enum": list(VARIANTS[1:])},
             "uniqueItems": True,
         },
         "checkpoints": {
@@ -179,14 +182,7 @@ def resolve_instance(config: dict, base_dir: str | None = None) -> BanditInstanc
         if base_dir is not None and not os.path.isabs(path):
             path = os.path.join(base_dir, path)
         return load_instance(path)
-    gen = source["generate"]
-    return generate_instance(
-        dim=gen["dim"],
-        num_actions=gen["num_actions"],
-        seed=gen["seed"],
-        noise=gen.get("noise", "gaussian"),
-        theta_norm=gen.get("theta_norm", 1.0),
-    )
+    return generate_instance(**source["generate"])
 
 
 def _seeds_of(config: dict) -> list[int]:
@@ -211,49 +207,21 @@ def _schedule_of(config: dict) -> Schedule:
     return Schedule(horizon=horizon, num_rounds=num_rounds)
 
 
-def _privacy_of(config: dict) -> PrivacyParams:
-    priv = config.get("privacy", {})
-    return PrivacyParams(
-        epsilon=priv.get("epsilon", 1.0),
-        enabled=priv.get("enabled", False),
-        clip=priv.get("clip"),
-    )
-
-
-def _adversary_of(config: dict) -> AdversaryConfig:
-    adv = config.get("adversary", {})
-    return AdversaryConfig(
-        alpha=adv.get("alpha", 0.0),
-        strategy=adv.get("strategy", "none"),
-        magnitude=adv.get("magnitude", 50.0),
-        corrupt_stage=adv.get("corrupt_stage", "pre-privacy"),
-        aggregate_corruption=adv.get("aggregate_corruption", False),
-    )
-
-
-def _threshold_of(config: dict, privacy: PrivacyParams) -> ThresholdConfig:
-    thr = config["threshold"]
-    return ThresholdConfig(
-        delta=thr["delta"],
-        alpha=thr.get("alpha", 0.0),
-        c_gamma=thr.get("c_gamma", 1.0),
-        nu=thr.get("nu"),
-        model=config["model"],
-        epsilon=privacy.epsilon if privacy.enabled else None,
-    )
-
-
 def run_cell(config: dict, variant: str, seed: int, base_dir: str | None = None) -> RegretTrace:
     """Run one (variant, seed) cell of a sweep."""
     if variant not in VARIANTS:
         raise ConfigInvalid(f"unknown variant {variant!r}")
     instance = resolve_instance(config, base_dir)
     schedule = _schedule_of(config)
-    privacy = _privacy_of(config)
-    adversary = _adversary_of(config)
+    # Each section's keys are its dataclass's fields, so the dataclass owns
+    # every default but one: a config without a privacy section runs
+    # non-private, while PrivacyParams() is private.
+    privacy = PrivacyParams(**{"enabled": False, **config.get("privacy", {})})
     if variant == "non-private":
         privacy = replace(privacy, enabled=False)
-    cfg = _threshold_of(config, privacy)
+    cfg = ThresholdConfig(**config["threshold"], model=config["model"],
+                          epsilon=privacy.epsilon if privacy.enabled else None)
+    adversary = AdversaryConfig(**config.get("adversary", {}))
 
     master = config.get("master_seed", 0)
     env = LearnerEnv(instance, adversary, seed_sequence(master, seed, variant, "env"))
@@ -344,9 +312,16 @@ def run_sweep(
     append) before the sweep moves on, so a crashed sweep can be resumed with
     resume=True; completed cells are detected via the manifest and skipped.
     Failed cells are recorded in the manifest with their error and reported
-    in the result rather than silently dropped.
+    in the result rather than silently dropped.  An instance source that
+    passes the schema but cannot be built raises ConfigInvalid before
+    anything is written.
     """
     validate_config(config)
+    try:
+        resolve_instance(config, base_dir)
+    except (OSError, KeyError, ValueError) as exc:
+        source = next(iter(config["instance"]))
+        raise ConfigInvalid(f"config field instance/{source}: {exc}") from exc
     started = time.monotonic()
     os.makedirs(out_dir, exist_ok=True)
     traces_dir = os.path.join(out_dir, "traces")

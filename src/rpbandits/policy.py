@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .design import Coreset, build_coreset, compute_design
+from .design import MODELS, Coreset, build_coreset, compute_design
 from .env import LearnerEnv
 from .errors import CheckpointOutOfRange, SingularGram, TooManyRemoved
 from .privacy import PrivacyParams, laplace_scale
@@ -82,8 +82,8 @@ class ThresholdConfig:
             raise ValueError("alpha must lie in [0, 1/4)")
         if self.c_gamma <= 0.0:
             raise ValueError("c_gamma must be positive")
-        if self.model not in ("M1", "M2"):
-            raise ValueError("model must be 'M1' or 'M2'")
+        if self.model not in MODELS:
+            raise ValueError(f"model must be one of {MODELS}")
         if self.model == "M2" and (self.nu is None or not (0.0 < self.nu < 1.0)):
             raise ValueError("M2 requires nu in (0, 1)")
         if self.epsilon is not None and self.epsilon <= 0.0:
@@ -318,9 +318,7 @@ def _fit_coreset_to_budget(coreset: Coreset, budget: int) -> Coreset:
             idx = max(entries)
             del entries[idx]
         total -= 1
-    kept = sorted(entries.items())
-    return Coreset(entries=kept, budget=coreset.budget, model=coreset.model,
-                   nu=coreset.nu)
+    return replace(coreset, entries=sorted(entries.items()))
 
 
 def _clean_scale_sq(privacy: PrivacyParams, client_counts: np.ndarray) -> float:

@@ -32,9 +32,6 @@ class PrivacyParams:
     def sensitivity(self) -> float:
         return 2.0 * (self.clip if self.clip is not None else 1.0)
 
-    def to_json_dict(self) -> dict:
-        return {"epsilon": self.epsilon, "enabled": self.enabled, "clip": self.clip}
-
 
 def laplace_icdf(u: float | np.ndarray, scale: float) -> float | np.ndarray:
     """Inverse CDF of the zero-mean Laplace distribution with the given scale.

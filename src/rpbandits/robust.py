@@ -25,10 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OutOfSpan, SingularGram, TooManyRemoved
+from .design import EIG_FLOOR, SPAN_TOL
+from .errors import SingularGram, TooManyRemoved
 
-EIG_FLOOR = 1e-12
-SPAN_TOL = 1e-8
 # Treat a top eigenvalue at numerical-noise scale as zero covariance.
 ZERO_COV_TOL = 1e-12
 

@@ -196,10 +196,9 @@ def _privacy_noise(priv, rng, size, n_a=None):
         theta_star=np.zeros(1), actions=ActionSet(np.ones((per_batch, 1))), noise="zero"
     )
     if n_a is None:
-        cs = Coreset(entries=[(0, per_batch)], budget=per_batch, model="M1")
+        cs = Coreset(entries=[(0, per_batch)], model="M1")
     else:
-        cs = Coreset(entries=[(i, n_a) for i in range(per_batch)], budget=per_batch * n_a,
-                     model="M2", nu=0.5)
+        cs = Coreset(entries=[(i, n_a) for i in range(per_batch)], model="M2")
     return np.concatenate([
         observe_batch(inst, cs, CLEAN, priv, rng)[3] for _ in range(size // per_batch)
     ])
@@ -265,7 +264,7 @@ def test_criterion_09_corruption_mask_concentration():
     inst = BanditInstance(
         theta_star=np.zeros(2), actions=ActionSet(np.eye(2)), noise="zero"
     )
-    cs = Coreset(entries=[(0, 10_000)], budget=10_000, model="M1")
+    cs = Coreset(entries=[(0, 10_000)], model="M1")
     adv = AdversaryConfig(alpha=0.1, strategy="none")
     # Anchor: the direct mask rule reproduces the environment's flags (zero
     # noise consumes no draws, so the mask uniforms come first).

@@ -177,13 +177,6 @@ def test_design_deterministic():
     assert d1.gvalue == d2.gvalue
 
 
-def test_design_json_round_trip():
-    design = compute_design(ActionSet(np.eye(3)))
-    data = design.to_json_dict()
-    assert set(map(int, data["weights"])) == set(design.support)
-    assert data["gvalue"] == design.gvalue
-
-
 # ------------------------------------------------------------- build_coreset
 
 
@@ -205,10 +198,9 @@ def test_coreset_m1_ceiling():
 
 def test_coreset_m2_truncation_rule():
     # weights (0.9, 0.1) over two actions, nu = 0.2 -> counts (90, 20)
-    acts = ActionSet(np.array([[1.0, 0.0], [0.0, 1.0]]))
     gram = np.diag([0.9, 0.1])
     design = Design(
-        actions=acts, weights={0: 0.9, 1: 0.1}, gram=gram,
+        weights={0: 0.9, 1: 0.1}, gram=gram,
         gvalue=leverage(np.array([0.0, 1.0]), gram),
         effective_dim=2,
     )
@@ -235,7 +227,7 @@ def test_coreset_m1_total_bounds(budget, raw):
     weights = np.array(raw) / np.sum(raw)
     acts = ActionSet(np.eye(max(len(raw), 2))[: len(raw)])
     gram = acts.vectors.T @ (weights[:, None] * acts.vectors)
-    design = Design(actions=acts, weights=dict(enumerate(weights.tolist())),
+    design = Design(weights=dict(enumerate(weights.tolist())),
                     gram=gram, gvalue=float(len(raw)), effective_dim=len(raw))
     cs = build_coreset(design, budget=budget, model="M1")
     assert budget <= cs.total <= budget + cs.support_size
@@ -251,7 +243,7 @@ def test_coreset_m2_total_bound(budget, raw, nu):
     weights = np.array(raw) / np.sum(raw)
     acts = ActionSet(np.eye(max(len(raw), 2))[: len(raw)])
     gram = acts.vectors.T @ (weights[:, None] * acts.vectors)
-    design = Design(actions=acts, weights=dict(enumerate(weights.tolist())),
+    design = Design(weights=dict(enumerate(weights.tolist())),
                     gram=gram, gvalue=float(len(raw)), effective_dim=len(raw))
     cs = build_coreset(design, budget=budget, model="M2", nu=nu)
     k = cs.support_size

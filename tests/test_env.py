@@ -18,7 +18,6 @@ from rpbandits.env import (
     EnvOracle,
     LearnerEnv,
     generate_instance,
-    instantaneous_regret,
     load_instance,
     observe_batch,
     save_instance,
@@ -36,11 +35,11 @@ def basis_instance(theta, noise="zero"):
 
 
 def m1_coreset(entries):
-    return Coreset(entries=list(entries), budget=sum(n for _, n in entries), model="M1")
+    return Coreset(entries=list(entries), model="M1")
 
 
-def m2_coreset(entries, nu=0.01):
-    return Coreset(entries=list(entries), budget=sum(n for _, n in entries), model="M2", nu=nu)
+def m2_coreset(entries):
+    return Coreset(entries=list(entries), model="M2")
 
 
 class TestBanditInstance:
@@ -99,15 +98,15 @@ class TestBanditInstance:
 class TestRegretOracle:
     def test_optimal_arm_has_zero_regret(self):
         inst = basis_instance([0.7, 0.2])
-        assert instantaneous_regret(inst, 0) == 0.0
-        assert instantaneous_regret(inst, 1) == pytest.approx(0.5)
+        assert EnvOracle(inst).regret_of(0) == 0.0
+        assert EnvOracle(inst).regret_of(1) == pytest.approx(0.5)
 
     def test_matches_brute_force_gaps(self):
         inst = generate_instance(dim=4, num_actions=25, seed=9)
         means = inst.actions.vectors @ inst.theta_star
         best = means.max()
         for i in range(25):
-            assert instantaneous_regret(inst, i) == pytest.approx(best - means[i], abs=1e-12)
+            assert EnvOracle(inst).regret_of(i) == pytest.approx(best - means[i], abs=1e-12)
 
     def test_oracle_exposes_hidden_state(self):
         inst = basis_instance([0.4, 0.1, -0.2])
@@ -160,7 +159,7 @@ class TestPerRewardClean:
 
     def test_empty_coreset_yields_no_observations(self):
         inst = basis_instance([0.5, 0.0])
-        cs = Coreset(entries=[], budget=1, model="M1")
+        cs = Coreset(entries=[], model="M1")
         batch = observe_batch(inst, cs, NO_ADVERSARY, NO_PRIVACY, np.random.default_rng(0))
         assert [a.size for a in batch] == [0, 0, 0, 0]
 
@@ -530,8 +529,7 @@ def test_observe_batch_matches_golden():
             noise=case["noise"],
         )
         model = case["model"]
-        cs = Coreset(entries=entries, budget=sum(n for _, n in entries), model=model,
-                     nu=golden["nu"] if model == "M2" else None)
+        cs = Coreset(entries=entries, model=model)
         adv = AdversaryConfig(
             alpha=case["alpha"], strategy=case["strategy"], magnitude=golden["magnitude"],
             corrupt_stage=case["corrupt_stage"],
@@ -561,7 +559,6 @@ def chunk_golden_batches(golden: dict):
     """
     axes = golden["axes"]
     entries = [tuple(e) for e in golden["entries"]]
-    total = sum(n for _, n in entries)
     for i, combo in enumerate(itertools.product(*axes.values())):
         case = dict(zip(axes, combo))
         case["noise"] = golden["noise_cycle"][i % len(golden["noise_cycle"])]
@@ -571,8 +568,7 @@ def chunk_golden_batches(golden: dict):
             noise=case["noise"],
         )
         model = case["model"]
-        cs = Coreset(entries=entries, budget=total, model=model,
-                     nu=golden["nu"] if model == "M2" else None)
+        cs = Coreset(entries=entries, model=model)
         adv = AdversaryConfig(
             alpha=case["alpha"], strategy=case["strategy"], magnitude=golden["magnitude"],
             corrupt_stage=case["corrupt_stage"],

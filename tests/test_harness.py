@@ -142,6 +142,173 @@ class TestResolveInstance:
         np.testing.assert_array_equal(inst.theta_star, direct.theta_star)
 
 
+# Every optional config setting that reaches a trace, at its default.
+OPTIONAL_DEFAULTS = {
+    "adversary": {"alpha": 0.0, "strategy": "none", "magnitude": 50.0,
+                  "corrupt_stage": "pre-privacy", "aggregate_corruption": False},
+    "privacy": {"enabled": False, "epsilon": 1.0},
+    "threshold": {"alpha": 0.0, "c_gamma": 1.0},
+    "generate": {"noise": "gaussian", "theta_norm": 1.0},
+}
+
+M2_THRESHOLD = {"delta": 0.05, "nu": 0.1}
+
+
+def with_defaults_written_out(config: dict) -> dict:
+    """A copy of `config` with every missing optional setting at its default."""
+    full = json.loads(json.dumps(config))
+    for section in ("adversary", "privacy", "threshold"):
+        full[section] = {**OPTIONAL_DEFAULTS[section], **full.get(section, {})}
+    gen = full["instance"]["generate"]
+    full["instance"]["generate"] = {**OPTIONAL_DEFAULTS["generate"], **gen}
+    full.setdefault("master_seed", 0)
+    return full
+
+
+def enum_cases() -> list[tuple[str, dict, str]]:
+    """(id, config, variant) for every enum value the schema admits."""
+    props = harness.CONFIG_SCHEMA["properties"]
+    inst = props["instance"]["properties"]
+    adv = props["adversary"]["properties"]
+    attack = {"alpha": 0.1, "strategy": "constant"}
+    inline = {"theta_star": [0.6, 0.0],
+              "actions": {"dim": 2, "actions": [[1.0, 0.0], [0.0, 1.0]]}}
+    cases = []
+    for model in props["model"]["enum"]:
+        config = small_config(model=model)
+        if model == "M2":
+            config["threshold"] = dict(M2_THRESHOLD)
+        cases.append((f"model={model}", config, "robust"))
+    for noise in inst["generate"]["properties"]["noise"]["enum"]:
+        gen = {"dim": 2, "num_actions": 6, "seed": 3, "noise": noise}
+        cases.append((f"generate-noise={noise}",
+                      small_config(instance={"generate": gen}), "robust"))
+    for noise in inst["inline"]["properties"]["noise"]["enum"]:
+        cases.append((f"inline-noise={noise}",
+                      small_config(instance={"inline": {**inline, "noise": noise}}),
+                      "robust"))
+    for strategy in adv["strategy"]["enum"]:
+        cases.append((f"strategy={strategy}", small_config(
+            adversary={**attack, "strategy": strategy}), "robust"))
+    for stage in adv["corrupt_stage"]["enum"]:
+        cases.append((f"corrupt-stage={stage}", small_config(
+            adversary={**attack, "corrupt_stage": stage},
+            privacy={"enabled": True}), "robust"))
+    for variant in props["baselines"]["items"]["enum"]:
+        cases.append((f"baseline={variant}",
+                      small_config(baselines=[variant]), variant))
+    return cases
+
+
+def bound_cases() -> list[tuple[str, dict, str]]:
+    """(id, config, variant) at the edge of each numeric bound."""
+    below_quarter = float(np.nextafter(0.25, 0.0))
+    cases = [
+        ("adversary-alpha<0.25", small_config(
+            adversary={"alpha": below_quarter, "strategy": "sign-flip"})),
+        ("threshold-alpha<0.25", small_config(
+            threshold={"delta": 0.05, "alpha": below_quarter})),
+        ("magnitude=0", small_config(
+            adversary={"alpha": 0.1, "strategy": "constant", "magnitude": 0})),
+        ("magnitude=100", small_config(
+            adversary={"alpha": 0.1, "strategy": "constant", "magnitude": 100})),
+        ("theta_norm=0", small_config(instance={"generate": {
+            "dim": 2, "num_actions": 6, "seed": 3, "theta_norm": 0}})),
+        ("theta_norm=1", small_config(instance={"generate": {
+            "dim": 2, "num_actions": 6, "seed": 3, "theta_norm": 1}})),
+    ]
+    for nu in (1e-9, float(np.nextafter(1.0, 0.0))):
+        cases.append((f"nu={nu!r}", small_config(
+            model="M2", threshold={"delta": 0.05, "nu": nu})))
+    return [(name, config, "robust") for name, config in cases]
+
+
+class TestConfigDefaults:
+    """An omitted optional key means its documented default, and every value
+    the schema admits is one the dataclasses accept."""
+
+    @pytest.mark.parametrize("model", ["M1", "M2"])
+    @pytest.mark.parametrize("partial", [
+        {},
+        {"adversary": {"alpha": 0.1, "strategy": "constant"},
+         "privacy": {"enabled": True}},
+    ], ids=["minimal", "attack-and-privacy"])
+    def test_written_out_defaults_give_identical_traces(self, model, partial):
+        config = small_config(model=model, **partial)
+        if model == "M2":
+            config["threshold"] = dict(M2_THRESHOLD)
+        full = with_defaults_written_out(config)
+        assert full != config
+        validate_config(config)
+        validate_config(full)
+        for variant in harness.VARIANTS:
+            assert trace_to_bytes(run_cell(config, variant, 0)) == trace_to_bytes(
+                run_cell(full, variant, 0)
+            ), variant
+
+    @staticmethod
+    def _enum_paths(node, path=()):
+        """Schema path (without properties/items steps) of every enum."""
+        if isinstance(node, dict):
+            if "enum" in node:
+                yield "/".join(path)
+            for key, child in node.items():
+                step = () if key in ("properties", "items") else (key,)
+                yield from TestConfigDefaults._enum_paths(child, path + step)
+        elif isinstance(node, list):
+            for child in node:
+                yield from TestConfigDefaults._enum_paths(child, path)
+
+    def test_every_schema_enum_is_covered(self):
+        assert set(self._enum_paths(harness.CONFIG_SCHEMA)) == {
+            "model", "instance/generate/noise", "instance/inline/noise",
+            "adversary/strategy", "adversary/corrupt_stage", "baselines",
+        }
+
+    @pytest.mark.parametrize("config,variant", [
+        pytest.param(config, variant, id=name)
+        for name, config, variant in enum_cases() + bound_cases()
+    ])
+    def test_admitted_values_build_a_cell(self, config, variant):
+        validate_config(config)
+        assert run_cell(config, variant, 0).total_plays == 200
+
+
+class TestBadInstanceSource:
+    """An instance source that passes the schema but cannot be built is a
+    config error: not even the output directory is made, and the CLI exits
+    with 2."""
+
+    CASES = {
+        "theta-norm": {"inline": {"theta_star": [1.0, 1.0],
+                                  "actions": {"dim": 2, "actions": [[1.0, 0.0]]}}},
+        "theta-length": {"inline": {"theta_star": [0.5],
+                                    "actions": {"dim": 2, "actions": [[1.0, 0.0]]}}},
+        "action-norm": {"inline": {"theta_star": [0.5, 0.0],
+                                   "actions": {"dim": 2, "actions": [[1.0, 1.0]]}}},
+        "missing-file": {"file": "missing.json"},
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_run_sweep_refuses_before_writing(self, tmp_path, case):
+        config = small_config(instance=self.CASES[case])
+        validate_config(config)
+        out = tmp_path / "out"
+        with pytest.raises(ConfigInvalid, match="instance"):
+            run_sweep(config, str(out), base_dir=str(tmp_path))
+        assert not out.exists()
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_cli_exits_2(self, tmp_path, capsys, case):
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(small_config(instance=self.CASES[case])))
+        out = tmp_path / "out"
+        rc = main(["run", "--config", str(cfg_path), "--out", str(out)])
+        assert rc == 2
+        assert "instance" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestRunCell:
     def test_unknown_variant_rejected(self):
         with pytest.raises(ConfigInvalid, match="variant"):
@@ -497,10 +664,13 @@ class TestCli:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
-    def test_failed_cells_exit_1(self, tmp_path, capsys):
-        config = small_config(instance={"file": "missing.json"})
+    def test_failed_cells_exit_1(self, tmp_path, capsys, monkeypatch):
+        def failing(cfg, variant, seed, base_dir=None):
+            raise RuntimeError("synthetic cell failure")
+
+        monkeypatch.setattr(harness, "run_cell", failing)
         cfg_path = tmp_path / "run.json"
-        cfg_path.write_text(json.dumps(config))
+        cfg_path.write_text(json.dumps(small_config()))
         rc = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
         assert rc == 1
         assert "FAILED" in capsys.readouterr().err

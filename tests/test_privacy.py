@@ -27,10 +27,10 @@ def releases(reward, params, rng, size, n_a=None):
         noise="zero",
     )
     if n_a is None:
-        coreset = Coreset(entries=[(0, CLIENTS_PER_BATCH)], budget=CLIENTS_PER_BATCH, model="M1")
+        coreset = Coreset(entries=[(0, CLIENTS_PER_BATCH)], model="M1")
     else:
         entries = [(i, n_a) for i in range(CLIENTS_PER_BATCH)]
-        coreset = Coreset(entries=entries, budget=n_a * CLIENTS_PER_BATCH, model="M2", nu=0.5)
+        coreset = Coreset(entries=entries, model="M2")
     out = [
         observe_batch(inst, coreset, AdversaryConfig(), params, rng)[3]
         for _ in range(-(-size // CLIENTS_PER_BATCH))
@@ -117,7 +117,7 @@ def test_disabled_is_identity():
     # An aggregating client's mean of 100 plays is released as it is.
     inst = BanditInstance(theta_star=np.array([0.7]), actions=ActionSet(np.ones((2, 1))),
                           noise="zero")
-    cs = Coreset(entries=[(0, 100), (1, 100)], budget=200, model="M2", nu=0.5)
+    cs = Coreset(entries=[(0, 100), (1, 100)], model="M2")
     _, raw, _, reported = observe_batch(inst, cs, AdversaryConfig(), p, rng)
     np.testing.assert_array_equal(reported, raw)
     # identity consumes no randomness
