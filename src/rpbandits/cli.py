@@ -25,6 +25,18 @@ def _parse_seeds(text: str) -> list[int] | int:
     return int(text)
 
 
+def _worker_count(text: str) -> int:
+    """A worker count: an integer of at least 1."""
+    try:
+        count = int(text)
+    except ValueError:
+        count = 0
+    if count < 1:
+        raise argparse.ArgumentTypeError(
+            f"need an integer >= 1 (from --workers or RPBANDITS_WORKERS), got {text!r}")
+    return count
+
+
 def _env_default(name: str, fallback):
     value = os.environ.get(name)
     return value if value is not None else fallback
@@ -51,7 +63,10 @@ def build_parser() -> argparse.ArgumentParser:
                      help="output directory (default: RPBANDITS_OUT or ./out)")
     run.add_argument("--seeds", type=_parse_seeds, default=None,
                      help="override config seeds: a count N or a comma list")
-    run.add_argument("--workers", type=int, default=None,
+    # argparse converts a string default with `type`, so a bad
+    # RPBANDITS_WORKERS is a usage error (exit 2) like a bad --workers.
+    run.add_argument("--workers", type=_worker_count,
+                     default=_env_default("RPBANDITS_WORKERS", "1"),
                      help="parallel workers (default: RPBANDITS_WORKERS or 1)")
     run.add_argument("--resume", action="store_true",
                      help="skip cells already recorded in the manifest")
@@ -96,12 +111,9 @@ def _cmd_run(args) -> int:
     if args.seeds is not None:
         config["seeds"] = args.seeds
     validate_config(config)
-    workers = args.workers
-    if workers is None:
-        workers = int(_env_default("RPBANDITS_WORKERS", "1"))
     out_dir = _resolve_out(args)
     base_dir = os.path.dirname(os.path.abspath(args.config))
-    result = run_sweep(config, out_dir, workers=workers, resume=args.resume,
+    result = run_sweep(config, out_dir, workers=args.workers, resume=args.resume,
                        base_dir=base_dir)
     rows = summarize(result)
     write_summary_csv(rows, os.path.join(out_dir, "summary.csv"))

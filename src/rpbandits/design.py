@@ -211,6 +211,7 @@ def compute_design(actions: ActionSet, tol: float = 0.05) -> Design:
     w = _thin_support(coords, w, rank, _support_bound(rank))
 
     gram_full = (vecs * w[:, None]).T @ vecs
+    gram_full.setflags(write=False)  # a design may be shared between runs
     gvalue = float(np.max(_span_leverages(vecs, gram_full)))
     if gvalue > 2.0 * rank + 1e-9:
         raise FailsToConverge(

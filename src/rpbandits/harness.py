@@ -369,7 +369,9 @@ def run_sweep(
             fh.flush()
             os.fsync(fh.fileno())
 
-    if workers <= 1:
+    # A pool forks all its processes at the first submit, so it gets no more
+    # of them than there are cells to run, and none when no cell is left.
+    if workers <= 1 or not pending:
         for variant, seed in pending:
             try:
                 trace = run_cell(config, variant, seed, base_dir)
@@ -377,7 +379,9 @@ def run_sweep(
             except Exception as exc:  # noqa: BLE001 - recorded, not dropped
                 finish(variant, seed, None, f"{type(exc).__name__}: {exc}")
     else:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+        with concurrent.futures.ProcessPoolExecutor(
+            max_workers=min(workers, len(pending))
+        ) as pool:
             futs = {
                 pool.submit(_cell_bytes, config, variant, seed, base_dir): (variant, seed)
                 for variant, seed in pending

@@ -9,13 +9,15 @@ budget to the arm with the best estimated mean.
 """
 
 import bisect
+import hashlib
 import math
+from collections import OrderedDict
 from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
 
-from .design import MODELS, Coreset, build_coreset, compute_design
+from .design import MODELS, ActionSet, Coreset, Design, build_coreset, compute_design
 from .env import LearnerEnv
 from .errors import CheckpointOutOfRange, SingularGram, TooManyRemoved
 from .privacy import PrivacyParams, laplace_scale
@@ -360,6 +362,36 @@ def _estimate(
         return vanilla_least_squares(rows, lengths, rewards), exc.diagnostics, True
 
 
+# Designs this process has computed, least recently used first, keyed by
+# active-set content.  An entry is a d x d Gram plus at most
+# _support_bound(r) weights, so the cap holds the cache to a few MB.
+DESIGN_CACHE_SIZE = 128
+_designs: OrderedDict[tuple, Design] = OrderedDict()
+
+
+def _design_for(sub: ActionSet, tol: float) -> Design:
+    """compute_design(sub, tol), reused if this process already ran it on
+    the same vectors.
+
+    compute_design is deterministic, so equal bytes give a bit-equal design
+    and a reused one leaves every trace byte as it was.  Cached designs are
+    shared between cells: their Gram is read-only, and callers must not
+    change their weights.  A miss calls compute_design through this
+    module's attribute, so a wrapper installed there sees every design
+    actually computed.
+    """
+    vecs = sub.vectors
+    key = (vecs.shape, hashlib.blake2b(vecs.tobytes()).digest(), tol)
+    design = _designs.get(key)
+    if design is not None:
+        _designs.move_to_end(key)
+        return design
+    design = _designs[key] = compute_design(sub, tol=tol)
+    if len(_designs) > DESIGN_CACHE_SIZE:
+        _designs.popitem(last=False)
+    return design
+
+
 def _run(
     env: LearnerEnv,
     schedule: Schedule,
@@ -390,7 +422,7 @@ def _run(
             break
         budget = min(budgets[i - 1], remaining)
         sub = actions.subset(active)
-        design = compute_design(sub, tol=0.25)
+        design = _design_for(sub, tol=0.25)
         # Design indices are local to the active subset; map them back to
         # the instance's action indices (active is ascending, so the entry
         # order is unchanged).

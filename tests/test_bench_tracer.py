@@ -77,14 +77,45 @@ SCRIPT = textwrap.dedent("""
 """)
 
 
-def test_tracer_wraps_env_and_privacy(tmp_path):
+DESIGN_SCRIPT = textwrap.dedent("""
+    import json, sys
+    sys.path.insert(0, sys.argv[1])
+    from tracer import Tracer, install
+    from rpbandits import harness
+
+    tracer = Tracer(sys.argv[2])
+    install(tracer)
+
+    config = {
+        "version": 1,
+        "instance": {"generate": {"dim": 3, "num_actions": 12, "seed": 4}},
+        "schedule": {"horizon": 5000},
+        "model": "M1",
+        "threshold": {"delta": 0.05, "c_gamma": 0.2},
+    }
+    sets, rounds = set(), 0
+    for variant in ("robust", "vanilla"):
+        trace = harness.run_cell(config, variant, 0)
+        explored = [rec for rec in trace.rounds if rec.coreset_entries is not None]
+        rounds += len(explored)
+        sets.update(tuple(rec.active_before) for rec in explored)
+    spans = sum(1 for s in tracer.spans if s[2] == "design.compute_design")
+    print(json.dumps({"spans": spans, "distinct_sets": len(sets), "rounds": rounds}))
+""")
+
+
+def _run_traced(script: str, tmp_path) -> dict:
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.run(
-        [sys.executable, "-c", SCRIPT, str(ROOT / "perfbench"), str(tmp_path / "spans")],
+        [sys.executable, "-c", script, str(ROOT / "perfbench"), str(tmp_path / "spans")],
         env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    out = json.loads(proc.stdout.strip().splitlines()[-1])
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def test_tracer_wraps_env_and_privacy(tmp_path):
+    out = _run_traced(SCRIPT, tmp_path)
     assert "env.play_batch" in out["spans"]
     assert "privacy.laplace_icdf" in out["spans"]
     for model in ("M1", "M2"):
@@ -102,3 +133,13 @@ def test_tracer_wraps_env_and_privacy(tmp_path):
     for variant, cell in out["vanilla"].items():
         assert cell["estimated_rounds"] > 0, variant
         assert cell["spans"] == cell["estimated_rounds"], variant
+
+
+def test_tracer_sees_one_design_per_distinct_active_set(tmp_path):
+    # The policy reuses a design when it meets an active set again, and it
+    # calls compute_design at the name the tracer wraps on every miss.  So
+    # the traced calls are the distinct active sets: fewer than the rounds
+    # (both cells start on the full set), and more than none.
+    out = _run_traced(DESIGN_SCRIPT, tmp_path)
+    assert out["rounds"] > out["distinct_sets"] > 0
+    assert out["spans"] == out["distinct_sets"]

@@ -177,6 +177,26 @@ def test_design_deterministic():
     assert d1.gvalue == d2.gvalue
 
 
+def test_design_bit_equal_on_separate_copies():
+    # The policy reuses designs keyed by the bytes of the active vectors, so
+    # two arrays with the same content must give the same design, bit for bit.
+    rng = np.random.default_rng(11)
+    vecs = unit_rows(rng, 300, 6)
+    active = np.flatnonzero(rng.random(300) < 0.7)
+    a = ActionSet(np.asfortranarray(vecs)).subset(active)
+    b = ActionSet(vecs[active].copy())
+    assert a.vectors is not b.vectors
+    assert a.vectors.flags.c_contiguous and b.vectors.flags.c_contiguous
+    assert a.vectors.tobytes() == b.vectors.tobytes()
+    d1 = compute_design(a, tol=0.25)
+    d2 = compute_design(b, tol=0.25)
+    assert list(d1.weights) == list(d2.weights)
+    assert np.array(list(d1.weights.values())).tobytes() == np.array(
+        list(d2.weights.values())).tobytes()
+    assert d1.gram.tobytes() == d2.gram.tobytes()
+    assert repr(d1.gvalue) == repr(d2.gvalue)
+
+
 # ------------------------------------------------------------- build_coreset
 
 

@@ -1,15 +1,18 @@
 """Harness tests: config validation, sweep execution, resume, aggregation,
 and the CLI entry points."""
 
+import concurrent.futures
 import json
 import os
 import tracemalloc
+from collections import OrderedDict
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import rpbandits.harness as harness
+import rpbandits.policy as policy
 from rpbandits.cli import main
 from rpbandits.env import generate_instance, save_instance
 from rpbandits.errors import CheckpointOutOfRange, ConfigInvalid
@@ -332,6 +335,38 @@ class TestRunCell:
         c = trace_to_bytes(run_cell(config, "robust", 1))
         assert a != c
 
+    @pytest.mark.parametrize("model", ["M1", "M2"])
+    @pytest.mark.parametrize("variant", harness.VARIANTS)
+    def test_reused_designs_change_no_trace_byte(self, model, variant, monkeypatch):
+        # A cell run on a cold design cache and again after the other cells
+        # have filled it gives the same bytes, and the second run computes
+        # no design of its own.
+        config = small_config(
+            model=model,
+            instance={"generate": {"dim": 3, "num_actions": 12, "seed": 4}},
+            schedule={"horizon": 3000},
+            adversary={"alpha": 0.1, "strategy": "anti-optimal"},
+            privacy={"enabled": True},
+            threshold={"delta": 0.05, "c_gamma": 0.5,
+                       **({"nu": 0.1} if model == "M2" else {})},
+        )
+        monkeypatch.setattr(policy, "_designs", OrderedDict())
+        cold = trace_to_bytes(run_cell(config, variant, 0))
+        for other in harness.VARIANTS:
+            for seed in (0, 1):
+                if (other, seed) != (variant, 0):
+                    run_cell(config, other, seed)
+        computed = []
+        real = policy.compute_design
+
+        def counting(actions, tol):
+            computed.append(actions.count)
+            return real(actions, tol=tol)
+
+        monkeypatch.setattr(policy, "compute_design", counting)
+        assert trace_to_bytes(run_cell(config, variant, 0)) == cold
+        assert computed == []
+
     def test_non_private_variant_drops_privacy(self):
         config = small_config(privacy={"enabled": True, "epsilon": 1.0})
         private = run_cell(config, "robust", 0)
@@ -467,6 +502,27 @@ class TestRunSweep:
             assert (tmp_path / "seq" / rel).read_bytes() == (
                 tmp_path / "par" / rel
             ).read_bytes(), rel
+
+    def test_pool_is_sized_to_pending_cells(self, tmp_path, monkeypatch):
+        real = concurrent.futures.ProcessPoolExecutor
+        sizes = []
+
+        def recording(max_workers):
+            sizes.append(max_workers)
+            return real(max_workers=min(max_workers, 2))
+
+        monkeypatch.setattr(harness.concurrent.futures, "ProcessPoolExecutor", recording)
+        config = small_config(seeds=1, baselines=["vanilla", "non-robust"])
+        out = tmp_path / "s"
+        result = run_sweep(config, str(out), workers=64)
+        assert sizes == [3]
+        assert len(result.traces) == 3 and result.failures == []
+        # Nothing pending: no pool at all.
+        run_sweep(config, str(out), workers=64, resume=True)
+        assert sizes == [3]
+        (out / "traces" / "vanilla_0.json").unlink()
+        run_sweep(config, str(out), workers=64, resume=True)
+        assert sizes == [3, 1]
 
     def test_partial_failure_is_recorded_not_raised(self, tmp_path, monkeypatch):
         real = harness.run_cell
@@ -663,6 +719,29 @@ class TestCli:
         rc = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, env", [
+        ("0", None), ("-2", None), ("two", None), (None, "two"), (None, "1.5"), (None, "0"),
+    ])
+    def test_bad_worker_count_exits_2(self, tmp_path, capsys, monkeypatch, flag, env):
+        if env is not None:
+            monkeypatch.setenv("RPBANDITS_WORKERS", env)
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(small_config()))
+        argv = ["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + (["--workers", flag] if flag is not None else []))
+        assert exc.value.code == 2
+        assert "RPBANDITS_WORKERS" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_workers_flag_overrides_environment(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("RPBANDITS_WORKERS", "two")
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(small_config(seeds=1)))
+        rc = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out"),
+                   "--workers", "1"])
+        assert rc == 0
 
     def test_failed_cells_exit_1(self, tmp_path, capsys, monkeypatch):
         def failing(cfg, variant, seed, base_dir=None):

@@ -4,6 +4,7 @@ trace bookkeeping."""
 import json
 import math
 import tracemalloc
+from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -445,3 +446,48 @@ class TestEliminationRun:
         # Round 1 plays each arm once (regret 0 + 0.6 + 0.8); round 2 plays
         # the two arms that survived the budget trim (0 + 0.6).
         assert trace.final_regret == pytest.approx(2.0)
+
+
+class TestDesignReuse:
+    @pytest.fixture
+    def computed(self, monkeypatch):
+        """Empty design cache; returns the list of sets compute_design ran on."""
+        monkeypatch.setattr(policy_module, "_designs", OrderedDict())
+        calls = []
+        real = policy_module.compute_design
+
+        def counting(actions, tol):
+            calls.append(actions.count)
+            return real(actions, tol=tol)
+
+        monkeypatch.setattr(policy_module, "compute_design", counting)
+        return calls
+
+    @staticmethod
+    def action_set(k):
+        return ActionSet(np.eye(4)[:k] * 0.5)
+
+    def test_equal_content_is_a_hit(self, computed):
+        first = policy_module._design_for(self.action_set(3), tol=0.25)
+        again = policy_module._design_for(self.action_set(3), tol=0.25)
+        assert again is first
+        assert computed == [3]
+        policy_module._design_for(self.action_set(3), tol=0.1)
+        assert computed == [3, 3]
+
+    def test_least_recently_used_is_evicted_at_cap(self, computed, monkeypatch):
+        monkeypatch.setattr(policy_module, "DESIGN_CACHE_SIZE", 2)
+        for k in (2, 3, 2, 4):  # 2 is used again before 4 evicts the oldest
+            policy_module._design_for(self.action_set(k), tol=0.25)
+        assert computed == [2, 3, 4]
+        assert len(policy_module._designs) == 2
+        policy_module._design_for(self.action_set(2), tol=0.25)
+        assert computed == [2, 3, 4]
+        policy_module._design_for(self.action_set(3), tol=0.25)
+        assert computed == [2, 3, 4, 3]
+
+    def test_cached_gram_is_read_only(self, computed):
+        design = policy_module._design_for(self.action_set(3), tol=0.25)
+        assert not design.gram.flags.writeable
+        with pytest.raises(ValueError):
+            design.gram[0, 0] = 1.0
