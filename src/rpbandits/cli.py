@@ -37,6 +37,18 @@ def _worker_count(text: str) -> int:
     return count
 
 
+def _checkpoint_list(text: str) -> list[int]:
+    """A non-empty comma list of integer play counts."""
+    try:
+        checkpoints = [int(p) for p in text.split(",") if p.strip()]
+    except ValueError:
+        checkpoints = []
+    if not checkpoints:
+        raise argparse.ArgumentTypeError(
+            f"need a comma list of integer play counts, got {text!r}")
+    return checkpoints
+
+
 def _env_default(name: str, fallback):
     value = os.environ.get(name)
     return value if value is not None else fallback
@@ -73,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     summ = sub.add_parser("summarize", help="aggregate a finished sweep directory")
     summ.add_argument("--out", default=None, help="sweep directory to summarize")
-    summ.add_argument("--checkpoints", type=str, default=None,
+    summ.add_argument("--checkpoints", type=_checkpoint_list, default=None,
                       help="comma list of play counts")
 
     plot = sub.add_parser("plot-data", help="emit long-format regret curves as CSV")
@@ -130,10 +142,7 @@ def _cmd_run(args) -> int:
 def _cmd_summarize(args) -> int:
     out_dir = _resolve_out(args)
     result = load_sweep(out_dir)
-    checkpoints = None
-    if args.checkpoints:
-        checkpoints = [int(p) for p in args.checkpoints.split(",") if p.strip()]
-    rows = summarize(result, checkpoints)
+    rows = summarize(result, args.checkpoints)
     write_summary_csv(rows, os.path.join(out_dir, "summary.csv"))
     print(summary_table(rows))
     return 0

@@ -136,7 +136,8 @@ CONFIG_SCHEMA = {
         "seeds": {
             "oneOf": [
                 {"type": "integer", "minimum": 1},
-                {"type": "array", "items": {"type": "integer"}, "minItems": 1},
+                {"type": "array", "items": {"type": "integer"}, "minItems": 1,
+                 "uniqueItems": True},
             ]
         },
         "master_seed": {"type": "integer"},
@@ -460,7 +461,10 @@ def _sweep_result(out_dir: str, config: dict, records: list[dict]) -> SweepResul
 
 def load_sweep(out_dir: str) -> SweepResult:
     """Reconstruct a SweepResult from a finished sweep directory."""
-    manifest = _read_manifest(os.path.join(out_dir, "manifest.json"))
+    manifest_path = os.path.join(out_dir, "manifest.json")
+    if not os.path.isfile(manifest_path):
+        raise ConfigInvalid(f"no sweep under {out_dir}")
+    manifest = _read_manifest(manifest_path)
     if manifest["header"] is None:
         raise ConfigInvalid(f"no manifest header found under {out_dir}")
     config = manifest["header"]["config"]

@@ -209,17 +209,69 @@ class RoundRecord:
         )
 
 
-# Partial segments are summed in pieces of at most this many plays, so
-# answering a checkpoint never holds more than one piece in memory.
-REGRET_CHUNK = 1 << 16
-
-
 def _advance(total: float, value: float, plays: int) -> float:
     """`total` plus `plays` copies of `value`, added one at a time from the
-    left, which is the order np.cumsum adds in."""
-    buf = np.full(plays + 1, value)
-    buf[0] = total
-    return float(np.add.accumulate(buf)[-1])
+    left, which is the order np.cumsum adds in, with the same bits.
+
+    For value > 0 and a finite total >= 0 this costs O(binades crossed), not
+    O(plays).  In the binade [2^(e-1), 2^e) every double is a multiple of
+    u = 2^(e-53) (below 2^-1022 they are sparser, but every add there is
+    exact); with S = total/u and V = value/u (both exact), one rounded
+    add gives (S + D)·u, where D is V rounded to the nearest integer, or on
+    a tie (frac V = 1/2) whichever of floor V and floor V + 1 leaves S + D
+    even.  While the sum stays at or below 2^e, D is the same every step
+    (once S is even, on a tie), so k adds land on (S + k·D)·u.  A zero
+    total, a value of at least 2^(e-2), a tie on an odd S, and the add that
+    leaves the binade each take one plain add.  Any other sign or a
+    non-finite input is summed by np.add.accumulate.
+    """
+    s, v = float(total), float(value)
+    if plays <= 0:
+        return s
+    if v == 0.0:
+        return s + v
+    if not (v > 0.0 and s >= 0.0 and math.isfinite(v) and math.isfinite(s)):
+        return _accumulate(s, v, plays)
+    while plays:
+        e = math.frexp(s)[1]
+        k = 0
+        if s and v < math.ldexp(1.0, e - 2):
+            big = math.ldexp(v, 53 - e)
+            whole = math.floor(big)
+            frac = big - whole
+            units = int(math.ldexp(s, 53 - e))
+            if frac != 0.5:
+                step = whole + (frac > 0.5)
+            elif units % 2 == 0:
+                step = whole + whole % 2
+            else:
+                step = None  # the first tie makes the sum even: add it plainly
+            if step == 0:
+                return s
+            if step:
+                # In the top binade 2^53·u overflows, so stop one unit short.
+                limit = (1 << 53) - (e == 1024)
+                k = min(plays, (limit - units - math.ceil(big)) // step + 1)
+        if k > 0:
+            s = math.ldexp(units + k * step, e - 53)
+            plays -= k
+        else:
+            s += v
+            plays -= 1
+            if s == math.inf:
+                return s
+    return s
+
+
+def _accumulate(total: float, value: float, plays: int) -> float:
+    """_advance by np.add.accumulate, in pieces of at most 2^16 plays."""
+    while plays > 0:
+        n = min(plays, 1 << 16)
+        buf = np.full(n + 1, value)
+        buf[0] = total
+        total = float(np.add.accumulate(buf)[-1])
+        plays -= n
+    return total
 
 
 @dataclass
@@ -236,15 +288,12 @@ class RegretTrace:
     @cached_property
     def _marks(self) -> tuple[list[int], list[float], list[float]]:
         """Play count, cumulative regret and per-play regret at the end of
-        every segment and of every REGRET_CHUNK plays within one."""
+        every segment."""
         plays, sums, values = [0], [0.0], [0.0]
         for count, value in self.segments:
-            while count > 0:
-                n = min(count, REGRET_CHUNK)
-                plays.append(plays[-1] + n)
-                sums.append(_advance(sums[-1], value, n))
-                values.append(value)
-                count -= n
+            plays.append(plays[-1] + count)
+            sums.append(_advance(sums[-1], value, count))
+            values.append(value)
         return plays, sums, values
 
     @property

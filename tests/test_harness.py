@@ -107,6 +107,9 @@ class TestConfigValidation:
             validate_config(small_config(seeds=0))
         with pytest.raises(ConfigInvalid):
             validate_config(small_config(seeds=[]))
+        # A repeated seed would run one cell twice and count it as two seeds.
+        with pytest.raises(ConfigInvalid, match="seeds"):
+            validate_config(small_config(seeds=[0, 3, 0]))
 
     def test_version_is_pinned(self):
         with pytest.raises(ConfigInvalid, match="version"):
@@ -710,6 +713,34 @@ class TestCli:
         assert rc == 0
         names = sorted(os.listdir(out / "traces"))
         assert names == ["robust_0.json", "robust_3.json"]
+
+    def test_duplicate_seed_flag_exits_2(self, tmp_path, capsys):
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(small_config()))
+        out = tmp_path / "out"
+        rc = main(["run", "--config", str(cfg_path), "--out", str(out), "--seeds", "1,1"])
+        assert rc == 2
+        assert "seeds" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["10,x", ",", "", "1.5"])
+    def test_bad_checkpoints_exit_2_and_write_nothing(self, tmp_path, capsys, flag):
+        out = tmp_path / "out"
+        run_sweep(small_config(), str(out))
+        before = sorted((p.name, p.read_bytes()) for p in out.iterdir() if p.is_file())
+        with pytest.raises(SystemExit) as exc:
+            main(["summarize", "--out", str(out), "--checkpoints", flag])
+        assert exc.value.code == 2
+        assert "--checkpoints" in capsys.readouterr().err
+        assert sorted((p.name, p.read_bytes()) for p in out.iterdir() if p.is_file()) == before
+
+    @pytest.mark.parametrize("command", ["summarize", "plot-data"])
+    def test_directory_without_sweep_exits_2(self, tmp_path, capsys, command):
+        for out in (tmp_path, tmp_path / "missing"):
+            rc = main([command, "--out", str(out)])
+            assert rc == 2
+            assert "no sweep under" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_invalid_config_exits_2(self, tmp_path, capsys):
         config = small_config()

@@ -3,18 +3,20 @@ trace bookkeeping."""
 
 import json
 import math
+import struct
 import tracemalloc
 from collections import OrderedDict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rpbandits.policy as policy_module
 from rpbandits.design import ActionSet
 from rpbandits.env import AdversaryConfig, BanditInstance, LearnerEnv, generate_instance
 from rpbandits.errors import CheckpointOutOfRange, TooManyRemoved
 from rpbandits.policy import (
-    REGRET_CHUNK,
     RegretTrace,
     RoundRecord,
     Schedule,
@@ -193,7 +195,8 @@ class TestRegretTrace:
         assert trace.final_regret == 6.5
 
     def test_cumulative_at_matches_cumsum_bit_for_bit(self):
-        counts = [1, 3 * REGRET_CHUNK + 17, 5, REGRET_CHUNK, 2 * REGRET_CHUNK - 1,
+        chunk = 1 << 16
+        counts = [1, 3 * chunk + 17, 5, chunk, 2 * chunk - 1,
                   400_000, 12, 300_000, 1]
         values = np.random.default_rng(11).uniform(0.0, 2.0, len(counts))
         values[2] = 0.0
@@ -207,8 +210,8 @@ class TestRegretTrace:
         points = {0, trace.total_plays}
         for start, count, end in zip(ends - counts, counts, ends):
             points |= {end - 1, end, min(end + 1, trace.total_plays), start + count // 2}
-            for k in range(1, count // REGRET_CHUNK + 1):
-                points |= {start + k * REGRET_CHUNK + j for j in (-1, 0, 1)}
+            for k in range(1, count // chunk + 1):
+                points |= {start + k * chunk + j for j in (-1, 0, 1)}
         for p in sorted(points):
             assert trace.cumulative_at(p) == (0.0 if p == 0 else reference[p - 1]), p
         assert trace.final_regret == reference[-1]
@@ -230,6 +233,19 @@ class TestRegretTrace:
             tracemalloc.stop()
         assert peak < 8 * 2**20
         assert 0.0 < mid < total
+
+    def test_cumulative_at_does_no_per_play_work(self, monkeypatch):
+        def per_play(*args):
+            raise AssertionError("summed play by play")
+
+        monkeypatch.setattr(policy_module, "_accumulate", per_play)
+        trace = RegretTrace(
+            horizon=10**12, num_rounds=2, model="M1", rounds=[],
+            segments=[(10**12, 0.25)], optimal_arm=0,
+        )
+        assert trace.cumulative_at(10**12) == 2.5e11
+        assert trace.cumulative_at(10**12 - 3) == 2.5e11 - 0.75
+        assert trace.final_regret == 2.5e11
 
     def test_cumulative_at_checkpoints(self):
         trace = make_trace()
@@ -259,6 +275,100 @@ class TestRegretTrace:
         assert json.dumps(back.to_json_dict(), sort_keys=True) == json.dumps(
             trace.to_json_dict(), sort_keys=True
         )
+
+
+def _bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+def _play_by_play(total: float, value: float, plays: int) -> float:
+    buf = np.full(plays + 1, value)
+    buf[0] = total
+    return float(np.add.accumulate(buf)[-1])
+
+
+plays = st.integers(0, 2000)
+totals = st.floats(0.0, 1e300)
+fractions = st.sampled_from([0.0, 0.25, 0.5, 0.75]) | st.floats(0.0, 1.0, exclude_max=True)
+
+
+@st.composite
+def ties(draw):
+    total = draw(totals)
+    return total, (draw(st.integers(0, 40)) + 0.5) * math.ulp(total)
+
+
+@st.composite
+def binade_edges(draw):
+    # Just below, at or just above 2^e, with a value of a few units there.
+    edge = 2.0 ** draw(st.integers(-1074, 1023))
+    total = edge + draw(st.integers(-40, 8)) * math.ulp(edge) / 2
+    return total, (draw(st.integers(0, 6)) + draw(fractions)) * math.ulp(total)
+
+
+@st.composite
+def powers_of_two(draw):
+    return 2.0 ** draw(st.integers(-1074, 1023)), 2.0 ** draw(st.integers(-1074, 1023))
+
+
+@st.composite
+def subnormals(draw):
+    tiny = 2.0 ** -1074
+    return draw(st.integers(0, 2**53)) * tiny, draw(st.integers(1, 2**20)) * tiny
+
+
+@st.composite
+def near_overflow(draw):
+    total = np.nextafter(np.inf, 0.0) - draw(st.integers(0, 3000)) * 2.0 ** 970
+    return float(total), (draw(st.integers(0, 4)) + draw(fractions)) * 2.0 ** 971
+
+
+pairs = (
+    ties()
+    | binade_edges()
+    | powers_of_two()
+    | subnormals()
+    | near_overflow()
+    | st.tuples(st.just(0.0), st.floats(0.0, 1e300))
+    | st.tuples(totals, st.just(0.0))
+    | st.tuples(totals, st.floats(0.0, 1e300))
+)
+fallback_pairs = st.tuples(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats(max_value=0.0) | st.sampled_from([math.nan, math.inf, -math.inf]),
+) | st.tuples(st.sampled_from([math.nan, math.inf, -math.inf, -1.5]), st.floats(0.0, 1e300))
+
+
+class TestAdvance:
+    """_advance(s, v, n) has np.add.accumulate's exact bits."""
+
+    @settings(max_examples=800, deadline=None)
+    @given(pairs, plays)
+    def test_matches_play_by_play(self, pair, n):
+        total, value = pair
+        with np.errstate(over="ignore"):
+            expected = _play_by_play(total, value, n)
+        assert _bits(policy_module._advance(total, value, n)) == _bits(expected)
+
+    @settings(max_examples=300, deadline=None)
+    @given(fallback_pairs, plays)
+    def test_fallback_inputs_match_play_by_play(self, pair, n):
+        total, value = pair
+        with np.errstate(all="ignore"):
+            expected = _play_by_play(total, value, n)
+            got = policy_module._advance(total, value, n)
+        assert _bits(got) == _bits(expected) or (math.isnan(got) and math.isnan(expected))
+
+    @pytest.mark.parametrize("total, value, n", [
+        (2.0 ** 52 + 1.0, 0.5, 5),   # a tie on an odd sum moves once, then sticks
+        (2.0 ** 53 - 2.0, 1.5, 5),   # even ties add 2 up to 2^53
+        (1.0, 2.0 ** -53, 9),        # a tie on an even sum never moves
+        (0.0, 5e-324, 10**6),        # subnormal units, exact all the way
+        (1.0, 0.75, 0),              # no plays
+    ])
+    def test_named_edges(self, total, value, n):
+        assert _bits(policy_module._advance(total, value, n)) == _bits(
+            _play_by_play(total, value, n))
 
 
 class TestEliminationRun:
