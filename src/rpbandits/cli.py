@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -25,16 +26,21 @@ def _parse_seeds(text: str) -> list[int] | int:
     return int(text)
 
 
-def _worker_count(text: str) -> int:
-    """A worker count: an integer of at least 1."""
-    try:
-        count = int(text)
-    except ValueError:
-        count = 0
-    if count < 1:
-        raise argparse.ArgumentTypeError(
-            f"need an integer >= 1 (from --workers or RPBANDITS_WORKERS), got {text!r}")
-    return count
+def _number(kind, low: float, high: float = math.inf, source: str = ""):
+    """An argparse type: an int or float in [low, high].  `source` says
+    where a bad value may have come from."""
+    what = ("an integer" if kind is int else "a number") + (
+        f" >= {low}" if high == math.inf else f" in [{low}, {high}]")
+
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = math.nan
+        if not low <= value <= high:
+            raise argparse.ArgumentTypeError(f"need {what}{source}, got {text!r}")
+        return value
+    return parse
 
 
 def _checkpoint_list(text: str) -> list[int]:
@@ -62,11 +68,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen-instance", help="generate and save a random bandit instance")
-    gen.add_argument("--dim", type=int, required=True)
-    gen.add_argument("--num-actions", type=int, required=True)
+    gen.add_argument("--dim", type=_number(int, 1), required=True)
+    gen.add_argument("--num-actions", type=_number(int, 1), required=True)
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--noise", choices=NOISE_KINDS, default="gaussian")
-    gen.add_argument("--theta-norm", type=float, default=1.0)
+    gen.add_argument("--theta-norm", type=_number(float, 0, 1), default=1.0)
     gen.add_argument("--out", required=True, help="path for the instance JSON")
 
     run = sub.add_parser("run", help="run a sweep from a JSON config")
@@ -77,7 +83,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="override config seeds: a count N or a comma list")
     # argparse converts a string default with `type`, so a bad
     # RPBANDITS_WORKERS is a usage error (exit 2) like a bad --workers.
-    run.add_argument("--workers", type=_worker_count,
+    run.add_argument("--workers",
+                     type=_number(int, 1, source=" (from --workers or RPBANDITS_WORKERS)"),
                      default=_env_default("RPBANDITS_WORKERS", "1"),
                      help="parallel workers (default: RPBANDITS_WORKERS or 1)")
     run.add_argument("--resume", action="store_true",

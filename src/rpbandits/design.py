@@ -7,7 +7,9 @@ The optimizer is Frank-Wolfe on the log-det objective with away steps and
 exact line search, which keeps the support small while converging linearly.
 """
 
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 import scipy.linalg
@@ -29,7 +31,7 @@ MODELS = ("M1", "M2")  # per-reward and aggregating clients
 
 @dataclass(frozen=True)
 class ActionSet:
-    """Ordered finite set of actions in R^d, each with Euclidean norm <= 1."""
+    """Ordered finite set of finite actions in R^d, d >= 1, each of norm <= 1."""
 
     vectors: np.ndarray  # shape (K, d)
 
@@ -37,8 +39,10 @@ class ActionSet:
         arr = np.asarray(self.vectors, dtype=float)
         if arr.ndim != 2:
             raise ValueError("actions must form a 2-d array of shape (K, d)")
-        if arr.shape[0] < 1:
-            raise ValueError("an action set needs at least one action")
+        if arr.shape[0] < 1 or arr.shape[1] < 1:
+            raise ValueError("an action set needs at least one action and one coordinate")
+        if not np.isfinite(arr).all():
+            raise ValueError("actions must be finite")
         norms = np.linalg.norm(arr, axis=1)
         if np.any(norms > 1.0 + 1e-9):
             worst = int(np.argmax(norms))
@@ -67,22 +71,30 @@ class ActionSet:
         return cls(arr)
 
 
-def _span_leverages(vecs: np.ndarray, gram: np.ndarray) -> np.ndarray:
+def span_leverages(vecs: np.ndarray,
+                   gram: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Row-wise <a, gram^+ a> restricted to the span of gram, from one eigh.
 
-    Raises OutOfSpan when a row has a component orthogonal to the span larger
-    than SPAN_TOL * max(1, ||a||).
+    Returns (leverages, basis, inv_sqrt): the span's orthonormal eigenvectors
+    as columns of basis, with 1 / sqrt of their eigenvalues, so that
+    gram^+ = basis diag(inv_sqrt^2) basis^T.  Eigenvalues at or below
+    EIG_FLOOR times the largest are outside the span.  Raises OutOfSpan when
+    gram is numerically zero, or when a row has a component orthogonal to
+    the span larger than SPAN_TOL * max(1, ||a||).
     """
     evals, evecs = np.linalg.eigh(gram)
     cutoff = max(float(evals[-1]) * EIG_FLOOR, 1e-300)
     keep = evals > cutoff
+    if not keep.any():
+        raise OutOfSpan("the Gram matrix is numerically zero")
     proj = vecs @ evecs
     residual = np.linalg.norm(proj[:, ~keep], axis=1)
     ref = SPAN_TOL * np.maximum(1.0, np.linalg.norm(vecs, axis=1))
     if np.any(residual > ref):
         worst = int(np.argmax(residual / ref))
         raise OutOfSpan(f"vector {worst} leaves the Gram span by {residual[worst]:.3g}")
-    return np.sum(proj[:, keep] ** 2 / evals[keep], axis=1)
+    leverages = np.sum(proj[:, keep] ** 2 / evals[keep], axis=1)
+    return leverages, evecs[:, keep], 1.0 / np.sqrt(evals[keep])
 
 
 def _support_bound(r: int) -> int:
@@ -94,10 +106,9 @@ def _support_bound(r: int) -> int:
 
 @dataclass(frozen=True)
 class Design:
-    """Distribution over action indices with its Gram and leverage certificate."""
+    """Distribution over action indices with its leverage certificate."""
 
-    weights: dict[int, float]
-    gram: np.ndarray = field(repr=False)
+    weights: Mapping[int, float]
     gvalue: float
     effective_dim: int
 
@@ -210,16 +221,15 @@ def compute_design(actions: ActionSet, tol: float = 0.05) -> Design:
     w /= w.sum()
     w = _thin_support(coords, w, rank, _support_bound(rank))
 
-    gram_full = (vecs * w[:, None]).T @ vecs
-    gram_full.setflags(write=False)  # a design may be shared between runs
-    gvalue = float(np.max(_span_leverages(vecs, gram_full)))
+    gvalue = float(np.max(span_leverages(vecs, (vecs * w[:, None]).T @ vecs)[0]))
     if gvalue > 2.0 * rank + 1e-9:
         raise FailsToConverge(
             f"design certificate {gvalue:.4f} exceeds {2 * rank} "
             f"after {MAX_ITERS} iterations"
         )
-    weights = {int(i): float(w[i]) for i in np.flatnonzero(w > 0)}
-    design = Design(weights=weights, gram=gram_full, gvalue=gvalue, effective_dim=rank)
+    # Read-only, because a design may be shared between runs.
+    weights = MappingProxyType({int(i): float(w[i]) for i in np.flatnonzero(w > 0)})
+    design = Design(weights=weights, gvalue=gvalue, effective_dim=rank)
     design.validate()
     return design
 

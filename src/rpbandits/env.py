@@ -55,8 +55,8 @@ class BanditInstance:
         theta = np.asarray(self.theta_star, dtype=float)
         if theta.ndim != 1 or theta.shape[0] != self.actions.dim:
             raise ValueError("theta_star must be a vector matching the action dimension")
-        if np.linalg.norm(theta) > 1.0 + 1e-9:
-            raise ValueError("theta_star must have norm at most 1")
+        if not (np.linalg.norm(theta) <= 1.0 + 1e-9):
+            raise ValueError("theta_star must be finite with norm at most 1")
         if self.noise not in NOISE_KINDS:
             raise ValueError(f"noise must be one of {NOISE_KINDS}, got {self.noise!r}")
         object.__setattr__(self, "theta_star", theta)

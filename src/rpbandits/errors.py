@@ -14,7 +14,8 @@ class InvalidNu(BanditError, ValueError):
 
 
 class OutOfSpan(BanditError, ValueError):
-    """A queried vector has a component orthogonal to the relevant span."""
+    """A Gram matrix is numerically zero, or a queried vector has a component
+    orthogonal to its span."""
 
 
 class TooManyRemoved(BanditError):
@@ -23,10 +24,6 @@ class TooManyRemoved(BanditError):
     def __init__(self, message, diagnostics=None):
         super().__init__(message)
         self.diagnostics = diagnostics
-
-
-class SingularGram(BanditError):
-    """The Gram matrix of played actions does not cover a queried direction."""
 
 
 class ConfigInvalid(BanditError, ValueError):

@@ -440,13 +440,19 @@ def _sweep_result(out_dir: str, config: dict, records: list[dict]) -> SweepResul
     """Load and aggregate the cells canonical manifest records mark ok.
 
     Only those count: a trace file left over from an earlier run of a cell
-    that has since failed is stale.
+    that has since failed is stale.  An ok cell whose trace file is missing
+    or is not a trace raises ConfigInvalid.
     """
     traces: dict[tuple[str, int], RegretTrace] = {}
     for cell in records:
         if cell["status"] == "ok":
-            with open(os.path.join(out_dir, cell["path"])) as fh:
-                traces[(cell["variant"], cell["seed"])] = RegretTrace.from_json_dict(json.load(fh))
+            path = os.path.join(out_dir, cell["path"])
+            try:
+                with open(path) as fh:
+                    trace = RegretTrace.from_json_dict(json.load(fh))
+            except (OSError, ValueError, KeyError, TypeError) as exc:
+                raise ConfigInvalid(f"no trace in {path}: {type(exc).__name__}: {exc}") from exc
+            traces[(cell["variant"], cell["seed"])] = trace
     variants = _variants_of(config)
     seeds = _seeds_of(config)
     checkpoints = config.get("checkpoints", _default_checkpoints(_schedule_of(config).horizon))

@@ -12,14 +12,14 @@ import bisect
 import hashlib
 import math
 from collections import OrderedDict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 
 import numpy as np
 
 from .design import MODELS, ActionSet, Coreset, Design, build_coreset, compute_design
 from .env import LearnerEnv
-from .errors import CheckpointOutOfRange, SingularGram, TooManyRemoved
+from .errors import CheckpointOutOfRange, OutOfSpan, TooManyRemoved
 from .privacy import PrivacyParams, laplace_scale
 from .robust import (
     DEFAULT_CLEAN_SCALE_SQ,
@@ -157,56 +157,29 @@ class RoundRecord:
     cumulative_plays: int = 0
     cumulative_regret: float = 0.0
 
+    # The JSON keys are the field names.  The estimate and the diagnostics
+    # change form on the way out, the coreset entries on the way back (JSON
+    # has no tuples), and a trace keeps no removed_indices.
     def to_json_dict(self) -> dict:
-        diag = self.filter_diagnostics
-        return {
-            "round_index": self.round_index,
-            "active_before": list(self.active_before),
-            "active_after": list(self.active_after),
-            "round_budget": self.round_budget,
-            "batch_size": self.batch_size,
-            "gamma": self.gamma,
-            "estimate": None if self.estimate is None else list(map(float, self.estimate)),
-            "coreset_entries": self.coreset_entries,
-            "design_gvalue": self.design_gvalue,
-            "filter_diagnostics": None if diag is None else {
-                "removed_count": diag.removed_count,
-                "final_top_eigenvalue": diag.final_top_eigenvalue,
-                "iterations": diag.iterations,
-            },
-            "filter_fallback": self.filter_fallback,
-            "estimation_skipped": self.estimation_skipped,
-            "chosen_arm": self.chosen_arm,
-            "cumulative_plays": self.cumulative_plays,
-            "cumulative_regret": self.cumulative_regret,
-        }
+        data = {f.name: getattr(self, f.name) for f in fields(self)}
+        if self.estimate is not None:
+            data["estimate"] = list(map(float, self.estimate))
+        if self.filter_diagnostics is not None:
+            data["filter_diagnostics"] = {
+                f.name: getattr(self.filter_diagnostics, f.name)
+                for f in fields(FilterDiagnostics) if f.name != "removed_indices"}
+        return data
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "RoundRecord":
-        diag = data.get("filter_diagnostics")
-        return cls(
-            round_index=data["round_index"],
-            active_before=list(data["active_before"]),
-            active_after=list(data["active_after"]),
-            round_budget=data["round_budget"],
-            batch_size=data["batch_size"],
-            gamma=data.get("gamma"),
-            estimate=None if data.get("estimate") is None else np.asarray(data["estimate"]),
-            coreset_entries=None if data.get("coreset_entries") is None else [
-                (int(a), int(b)) for a, b in data["coreset_entries"]
-            ],
-            design_gvalue=data.get("design_gvalue"),
-            filter_diagnostics=None if diag is None else FilterDiagnostics(
-                removed_count=diag["removed_count"],
-                final_top_eigenvalue=diag["final_top_eigenvalue"],
-                iterations=diag["iterations"],
-            ),
-            filter_fallback=data.get("filter_fallback", False),
-            estimation_skipped=data.get("estimation_skipped", False),
-            chosen_arm=data.get("chosen_arm"),
-            cumulative_plays=data.get("cumulative_plays", 0),
-            cumulative_regret=data.get("cumulative_regret", 0.0),
-        )
+        rec = cls(**{f.name: data[f.name] for f in fields(cls) if f.name in data})
+        if rec.estimate is not None:
+            rec.estimate = np.asarray(rec.estimate)
+        if rec.coreset_entries is not None:
+            rec.coreset_entries = [(int(a), int(n)) for a, n in rec.coreset_entries]
+        if rec.filter_diagnostics is not None:
+            rec.filter_diagnostics = FilterDiagnostics(**rec.filter_diagnostics)
+        return rec
 
 
 def _advance(total: float, value: float, plays: int) -> float:
@@ -328,26 +301,20 @@ class RegretTrace:
     def optimal_arm_survived(self) -> bool:
         return self.optimal_arm in self.final_active
 
+    # The JSON keys are the field names, but the segments go under
+    # "regret_segments".
     def to_json_dict(self) -> dict:
-        return {
-            "horizon": self.horizon,
-            "num_rounds": self.num_rounds,
-            "model": self.model,
-            "optimal_arm": self.optimal_arm,
-            "rounds": [r.to_json_dict() for r in self.rounds],
-            "regret_segments": [[int(c), float(v)] for c, v in self.segments],
-        }
+        data = {f.name: getattr(self, f.name) for f in fields(self)}
+        data["rounds"] = [r.to_json_dict() for r in self.rounds]
+        data["regret_segments"] = [[int(c), float(v)] for c, v in data.pop("segments")]
+        return data
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "RegretTrace":
-        return cls(
-            horizon=data["horizon"],
-            num_rounds=data["num_rounds"],
-            model=data["model"],
-            rounds=[RoundRecord.from_json_dict(r) for r in data["rounds"]],
-            segments=[(int(c), float(v)) for c, v in data["regret_segments"]],
-            optimal_arm=data["optimal_arm"],
-        )
+        kwargs = {f.name: data[f.name] for f in fields(cls) if f.name in data}
+        kwargs["rounds"] = [RoundRecord.from_json_dict(r) for r in data["rounds"]]
+        kwargs["segments"] = [(int(c), float(v)) for c, v in data["regret_segments"]]
+        return cls(**kwargs)
 
 
 def _fit_coreset_to_budget(coreset: Coreset, budget: int) -> Coreset:
@@ -511,7 +478,7 @@ def _run(
             survivors = [active[j] for j in range(len(active)) if scores[j] >= cutoff]
             record.active_after = survivors
             active = survivors
-        except SingularGram:
+        except OutOfSpan:
             # A truncated coreset failed to span the active set; keep the
             # round's plays but skip elimination.
             record.estimation_skipped = True

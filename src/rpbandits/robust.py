@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .design import EIG_FLOOR, SPAN_TOL
-from .errors import SingularGram, TooManyRemoved
+from .design import span_leverages
+from .errors import TooManyRemoved
 
 # Treat a top eigenvalue at numerical-noise scale as zero covariance.
 ZERO_COV_TOL = 1e-12
@@ -190,41 +190,16 @@ def spectral_filter(
     return (coef * wsum[:, None]).sum(axis=0) / m, diag
 
 
-def _gram_inverse_sqrt(rows: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenbasis pieces of M_n = sum_b lengths[b] c_b c_b^T restricted to its span.
-
-    Returns (basis Q, inv_sqrt_evals) where Q has one orthonormal column per
-    retained eigenvalue.
-    """
-    gram = (rows * lengths[:, None]).T @ rows
-    evals, evecs = np.linalg.eigh(gram)
-    cutoff = max(float(evals[-1]) * EIG_FLOOR, 1e-300)
-    keep = evals > cutoff
-    if not keep.any():
-        raise SingularGram("all played actions are numerically zero")
-    return evecs[:, keep], 1.0 / np.sqrt(evals[keep])
-
-
-def _check_in_span(vectors: np.ndarray, basis: np.ndarray, label: str) -> None:
-    residual = vectors - (vectors @ basis) @ basis.T
-    norms = np.linalg.norm(residual, axis=1)
-    ref = np.maximum(1.0, np.linalg.norm(vectors, axis=1))
-    if np.any(norms > SPAN_TOL * ref):
-        worst = int(np.argmax(norms / ref))
-        raise SingularGram(
-            f"{label} {worst} leaves the span of the played actions "
-            f"by {norms[worst]:.3g}"
-        )
-
-
 def vanilla_least_squares(rows: np.ndarray, lengths: np.ndarray,
                           rewards: np.ndarray) -> np.ndarray:
     """Minimum-norm least squares M_n^+ sum_i a_i y_i over runs.
 
-    The right-hand side is sum_b c_b * (sum of run b's rewards).
+    The right-hand side is sum_b c_b * (sum of run b's rewards).  Raises
+    OutOfSpan when every played row is numerically zero.
     """
     rows, lengths, y, starts = _runs(rows, lengths, rewards)
-    basis, inv_sqrt = _gram_inverse_sqrt(rows, lengths)
+    gram = (rows * lengths[:, None]).T @ rows
+    _, basis, inv_sqrt = span_leverages(rows[:0], gram)
     rhs = rows.T @ np.add.reduceat(y, starts)
     return basis @ ((basis.T @ rhs) * inv_sqrt * inv_sqrt)
 
@@ -268,18 +243,15 @@ def robust_least_squares(
 
     `query_actions` (default: the played rows) is the set whose leverages
     feed the budget; every queried direction must lie in the span of the
-    played actions, otherwise SingularGram is raised.
+    played actions, otherwise OutOfSpan is raised.
     """
     rows, lengths, y, _ = _runs(rows, lengths, rewards)
     if clean_scale_sq <= 0:
         raise ValueError("clean_scale_sq must be positive")
-    basis, inv_sqrt = _gram_inverse_sqrt(rows, lengths)
     queries = rows if query_actions is None else np.asarray(query_actions, dtype=float)
-    _check_in_span(queries, basis, "query action")
-
-    # Leverages ||a||^2_{M_n^+} for the queried directions.
-    q_coords = (queries @ basis) * inv_sqrt
-    lam = float(np.max(np.einsum("ij,ij->i", q_coords, q_coords))) * clean_scale_sq
+    gram = (rows * lengths[:, None]).T @ rows
+    leverages, basis, inv_sqrt = span_leverages(queries, gram)
+    lam = float(np.max(leverages)) * clean_scale_sq
 
     w, diag = spectral_filter(y, (rows @ basis) * inv_sqrt, lengths, lam, rng)
     theta = basis @ (y.size * inv_sqrt * w)

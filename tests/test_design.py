@@ -10,10 +10,11 @@ from rpbandits.design import (
     Coreset,
     Design,
     build_coreset,
-    _span_leverages,
     compute_design,
+    span_leverages,
 )
 from rpbandits.errors import InvalidNu, OutOfSpan
+from rpbandits.robust import robust_least_squares, vanilla_least_squares
 
 
 def unit_rows(rng, k, d):
@@ -23,7 +24,14 @@ def unit_rows(rng, k, d):
 
 def leverage(a, gram):
     """<a, gram^+ a> of one vector, through the design's row-wise leverages."""
-    return float(_span_leverages(np.asarray(a, dtype=float)[None, :], gram)[0])
+    return float(span_leverages(np.asarray(a, dtype=float)[None, :], gram)[0][0])
+
+
+def design_gram(design, vecs):
+    """sum_a w(a) a a^T, summed as compute_design sums it for its certificate."""
+    w = np.zeros(len(vecs))
+    w[list(design.weights)] = list(design.weights.values())
+    return (vecs * w[:, None]).T @ vecs
 
 
 # ---------------------------------------------------------------- ActionSet
@@ -37,6 +45,14 @@ def test_action_set_validates_norms():
 def test_action_set_requires_2d():
     with pytest.raises(ValueError):
         ActionSet(np.array([1.0, 0.0]))
+
+
+@pytest.mark.parametrize("vectors", [
+    [[np.nan, 0.0]], [[0.5, np.inf]], [[-np.inf, 0.0]], np.zeros((3, 0)), np.zeros((0, 2)),
+])
+def test_action_set_rejects_non_finite_and_empty(vectors):
+    with pytest.raises(ValueError):
+        ActionSet(np.array(vectors))
 
 
 def test_action_set_json_round_trip():
@@ -55,7 +71,7 @@ def test_action_set_subset():
     assert np.array_equal(sub.vectors, np.eye(4)[[0, 2]])
 
 
-# ------------------------------------------------- leverages (_span_leverages)
+# -------------------------------------------------- leverages (span_leverages)
 
 
 def test_weighted_norm_identity():
@@ -83,6 +99,37 @@ def test_weighted_norm_out_of_span():
     gram = np.diag([1.0, 0.0])
     with pytest.raises(OutOfSpan):
         leverage(np.array([0.0, 1.0]), gram)
+
+
+def test_span_basis_and_inverse_sqrt_give_the_pseudo_inverse():
+    rng = np.random.default_rng(4)
+    rows = unit_rows(rng, 3, 2) @ np.linalg.qr(rng.normal(size=(5, 2)))[0].T
+    gram = rows.T @ rows  # rank 2 in R^5
+    levs, basis, inv_sqrt = span_leverages(rows, gram)
+    assert basis.shape == (5, 2) and inv_sqrt.shape == (2,)
+    pinv = (basis * inv_sqrt**2) @ basis.T
+    assert np.allclose(pinv, np.linalg.pinv(gram, rcond=1e-10), atol=1e-10)
+    assert np.allclose(levs, np.einsum("ij,jk,ik->i", rows, pinv, rows), atol=1e-10)
+
+
+@pytest.mark.parametrize("gram", [np.zeros((3, 3)), np.diag([1e-310, 0.0, 0.0])])
+def test_numerically_zero_gram_raises(gram):
+    with pytest.raises(OutOfSpan, match="numerically zero"):
+        span_leverages(np.zeros((0, 3)), gram)
+
+
+def test_estimators_raise_out_of_span():
+    # The estimators' span rule is span_leverages': zero rows, or a query
+    # outside the span of the played rows, raise OutOfSpan.
+    rows, lengths, y = np.zeros((2, 3)), np.array([2, 1]), np.ones(3)
+    with pytest.raises(OutOfSpan, match="numerically zero"):
+        vanilla_least_squares(rows, lengths, y)
+    with pytest.raises(OutOfSpan, match="numerically zero"):
+        robust_least_squares(rows, lengths, y, np.random.default_rng(0))
+    rows = np.array([[1.0, 0.0, 0.0], [0.6, 0.8, 0.0]])
+    with pytest.raises(OutOfSpan, match="leaves the Gram span"):
+        robust_least_squares(rows, lengths, y, np.random.default_rng(0),
+                             query_actions=np.array([[0.6, 0.0, 0.8]]))
 
 
 # ------------------------------------------------------------ compute_design
@@ -135,7 +182,8 @@ def test_kiefer_wolfowitz_certificate():
     tol = 0.05
     design = compute_design(acts, tol=tol)
     # max leverage over all candidate actions is the certificate
-    levs = [leverage(a, design.gram) for a in acts.vectors]
+    gram = design_gram(design, acts.vectors)
+    levs = [leverage(a, gram) for a in acts.vectors]
     assert max(levs) <= (1 + tol) * design.effective_dim + 1e-9
 
 
@@ -153,7 +201,8 @@ def test_certificate_matches_per_action_leverages(d, k, rank):
     vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
     design = compute_design(ActionSet(vecs), tol=0.25)
     assert design.effective_dim == rank
-    levs = [leverage(a, design.gram) for a in vecs]
+    gram = design_gram(design, vecs)
+    levs = [leverage(a, gram) for a in vecs]
     assert design.gvalue == pytest.approx(max(levs), rel=1e-12)
 
 
@@ -193,7 +242,6 @@ def test_design_bit_equal_on_separate_copies():
     assert list(d1.weights) == list(d2.weights)
     assert np.array(list(d1.weights.values())).tobytes() == np.array(
         list(d2.weights.values())).tobytes()
-    assert d1.gram.tobytes() == d2.gram.tobytes()
     assert repr(d1.gvalue) == repr(d2.gvalue)
 
 
@@ -220,7 +268,7 @@ def test_coreset_m2_truncation_rule():
     # weights (0.9, 0.1) over two actions, nu = 0.2 -> counts (90, 20)
     gram = np.diag([0.9, 0.1])
     design = Design(
-        weights={0: 0.9, 1: 0.1}, gram=gram,
+        weights={0: 0.9, 1: 0.1},
         gvalue=leverage(np.array([0.0, 1.0]), gram),
         effective_dim=2,
     )
@@ -245,10 +293,8 @@ def test_coreset_m2_requires_nu():
 )
 def test_coreset_m1_total_bounds(budget, raw):
     weights = np.array(raw) / np.sum(raw)
-    acts = ActionSet(np.eye(max(len(raw), 2))[: len(raw)])
-    gram = acts.vectors.T @ (weights[:, None] * acts.vectors)
     design = Design(weights=dict(enumerate(weights.tolist())),
-                    gram=gram, gvalue=float(len(raw)), effective_dim=len(raw))
+                    gvalue=float(len(raw)), effective_dim=len(raw))
     cs = build_coreset(design, budget=budget, model="M1")
     assert budget <= cs.total <= budget + cs.support_size
 
@@ -261,10 +307,8 @@ def test_coreset_m1_total_bounds(budget, raw):
 )
 def test_coreset_m2_total_bound(budget, raw, nu):
     weights = np.array(raw) / np.sum(raw)
-    acts = ActionSet(np.eye(max(len(raw), 2))[: len(raw)])
-    gram = acts.vectors.T @ (weights[:, None] * acts.vectors)
     design = Design(weights=dict(enumerate(weights.tolist())),
-                    gram=gram, gvalue=float(len(raw)), effective_dim=len(raw))
+                    gvalue=float(len(raw)), effective_dim=len(raw))
     cs = build_coreset(design, budget=budget, model="M2", nu=nu)
     k = cs.support_size
     assert cs.total <= k + budget * (1 + k * nu)

@@ -51,6 +51,11 @@ class TestBanditInstance:
         with pytest.raises(ValueError, match="norm"):
             BanditInstance(theta_star=np.array([1.2, 0.0]), actions=ActionSet(np.eye(2)))
 
+    @pytest.mark.parametrize("theta", [[np.nan, 0.0], [0.0, np.inf]])
+    def test_non_finite_theta_rejected(self, theta):
+        with pytest.raises(ValueError, match="finite"):
+            BanditInstance(theta_star=np.array(theta), actions=ActionSet(np.eye(2)))
+
     def test_unknown_noise_kind_rejected(self):
         with pytest.raises(ValueError, match="noise"):
             BanditInstance(theta_star=np.zeros(2), actions=ActionSet(np.eye(2)), noise="cauchy")

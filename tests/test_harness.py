@@ -293,6 +293,12 @@ class TestBadInstanceSource:
         "action-norm": {"inline": {"theta_star": [0.5, 0.0],
                                    "actions": {"dim": 2, "actions": [[1.0, 1.0]]}}},
         "missing-file": {"file": "missing.json"},
+        "theta-nan": {"inline": {"theta_star": [float("nan"), 0.0],
+                                 "actions": {"dim": 2, "actions": [[1.0, 0.0]]}}},
+        "action-nan": {"inline": {"theta_star": [0.5, 0.0],
+                                  "actions": {"dim": 2, "actions": [[float("nan"), 0.0]]}}},
+        "action-inf": {"inline": {"theta_star": [0.5, 0.0],
+                                  "actions": {"dim": 2, "actions": [[0.5, float("-inf")]]}}},
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -312,6 +318,22 @@ class TestBadInstanceSource:
         rc = main(["run", "--config", str(cfg_path), "--out", str(out)])
         assert rc == 2
         assert "instance" in capsys.readouterr().err
+        assert not out.exists()
+
+
+    @pytest.mark.parametrize("instance", [
+        {"theta_star": [float("inf"), 0.0], "actions": {"dim": 2, "actions": [[1.0, 0.0]]}},
+        {"theta_star": [0.5, 0.0], "actions": {"dim": 2, "actions": [[0.0, float("nan")]]}},
+        {"theta_star": [], "actions": {"dim": 0, "actions": [[]]}},
+    ])
+    def test_cli_exits_2_on_bad_instance_file(self, tmp_path, capsys, instance):
+        (tmp_path / "inst.json").write_text(json.dumps(instance))
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(small_config(instance={"file": "inst.json"})))
+        out = tmp_path / "out"
+        rc = main(["run", "--config", str(cfg_path), "--out", str(out)])
+        assert rc == 2
+        assert "instance/file" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -741,6 +763,35 @@ class TestCli:
             assert rc == 2
             assert "no sweep under" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("flags", [
+        ["--dim", "0", "--num-actions", "5"],
+        ["--dim", "2", "--num-actions", "0"],
+        ["--dim", "x", "--num-actions", "5"],
+        ["--dim", "2", "--num-actions", "5", "--theta-norm", "2"],
+        ["--dim", "2", "--num-actions", "5", "--theta-norm", "-0.5"],
+        ["--dim", "2", "--num-actions", "5", "--theta-norm", "nan"],
+    ])
+    def test_gen_instance_bad_flags_exit_2(self, tmp_path, capsys, flags):
+        with pytest.raises(SystemExit) as exc:
+            main(["gen-instance", *flags, "--out", str(tmp_path / "inst.json")])
+        assert exc.value.code == 2
+        assert flags[-2] in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["summarize", "plot-data"])
+    @pytest.mark.parametrize("damage", ["missing", "not-json", "not-a-trace"])
+    def test_unreadable_ok_trace_exits_2(self, tmp_path, capsys, command, damage):
+        out = tmp_path / "out"
+        run_sweep(small_config(), str(out))
+        trace = out / "traces" / "robust_1.json"
+        if damage == "missing":
+            trace.unlink()
+        else:
+            trace.write_text("{" if damage == "not-json" else '{"horizon": 200}')
+        rc = main([command, "--out", str(out)])
+        assert rc == 2
+        assert f"no trace in {trace}" in capsys.readouterr().err
 
     def test_invalid_config_exits_2(self, tmp_path, capsys):
         config = small_config()

@@ -275,6 +275,26 @@ class TestRegretTrace:
         assert json.dumps(back.to_json_dict(), sort_keys=True) == json.dumps(
             trace.to_json_dict(), sort_keys=True
         )
+        # A record with every optional field set: the bytes survive a round
+        # trip, and the diagnostics keep all but removed_indices.
+        trace.rounds[0] = RoundRecord(
+            round_index=1, active_before=[0, 1, 2], active_after=[0, 2],
+            round_budget=5, batch_size=5, gamma=0.25, estimate=np.array([0.1, -0.3]),
+            coreset_entries=[(0, 3), (2, 2)], design_gvalue=2.0000000000000004,
+            filter_diagnostics=FilterDiagnostics(removed_count=2, final_top_eigenvalue=0.7,
+                                                 iterations=3, removed_indices=(4, 1)),
+            filter_fallback=True, estimation_skipped=True, chosen_arm=2,
+            cumulative_plays=5, cumulative_regret=1.5,
+        )
+        text = json.dumps(trace.to_json_dict(), sort_keys=True)
+        assert "removed_indices" not in text
+        back = RegretTrace.from_json_dict(json.loads(text))
+        assert json.dumps(back.to_json_dict(), sort_keys=True) == text
+        rec = back.rounds[0]
+        assert rec.coreset_entries == [(0, 3), (2, 2)]
+        assert rec.estimate.tolist() == [0.1, -0.3]
+        assert rec.filter_diagnostics == FilterDiagnostics(2, 0.7, 3)
+        assert json.loads(text)["regret_segments"] == [[3, 0.5], [2, 0.0], [5, 1.0]]
 
 
 def _bits(x: float) -> bytes:
@@ -596,8 +616,9 @@ class TestDesignReuse:
         policy_module._design_for(self.action_set(3), tol=0.25)
         assert computed == [2, 3, 4, 3]
 
-    def test_cached_gram_is_read_only(self, computed):
+    def test_cached_design_is_read_only(self, computed):
         design = policy_module._design_for(self.action_set(3), tol=0.25)
-        assert not design.gram.flags.writeable
-        with pytest.raises(ValueError):
-            design.gram[0, 0] = 1.0
+        with pytest.raises(TypeError):
+            design.weights[0] = 1.0
+        with pytest.raises(AttributeError):
+            design.gvalue = 1.0

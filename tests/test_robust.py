@@ -6,7 +6,7 @@ import pytest
 
 from rpbandits.design import ActionSet, build_coreset, compute_design
 from rpbandits.env import generate_instance
-from rpbandits.errors import SingularGram, TooManyRemoved
+from rpbandits.errors import OutOfSpan, TooManyRemoved
 from rpbandits.robust import (
     DEFAULT_CLEAN_SCALE_SQ,
     _search,
@@ -448,7 +448,7 @@ def test_robust_deterministic():
 
 def test_query_out_of_span_raises():
     actions = np.array([[1.0, 0.0], [1.0, 0.0]])
-    with pytest.raises(SingularGram):
+    with pytest.raises(OutOfSpan):
         robust_least_squares(actions, singles(actions), np.array([1.0, 1.0]),
                              np.random.default_rng(0),
                              query_actions=np.array([[0.0, 1.0]]))
