@@ -167,6 +167,10 @@ def validate_config(config: dict) -> None:
     thr = config["threshold"]
     if model == "M2" and thr.get("nu") is None:
         raise ConfigInvalid("config field threshold/nu: required when model is M2")
+    horizon = config["schedule"]["horizon"]
+    late = [c for c in config.get("checkpoints", []) if c > horizon]
+    if late:
+        raise ConfigInvalid(f"config field checkpoints: {late[0]} is past the horizon {horizon}")
 
 
 def config_hash(config: dict) -> str:

@@ -27,7 +27,6 @@ from .robust import (
     robust_least_squares,
     vanilla_least_squares,
 )
-from .seeding import rng_from
 
 
 @dataclass(frozen=True)
@@ -186,7 +185,7 @@ def _advance(total: float, value: float, plays: int) -> float:
     """`total` plus `plays` copies of `value`, added one at a time from the
     left, which is the order np.cumsum adds in, with the same bits.
 
-    For value > 0 and a finite total >= 0 this costs O(binades crossed), not
+    For a finite total >= 0 and value >= 0 this costs O(binades crossed), not
     O(plays).  In the binade [2^(e-1), 2^e) every double is a multiple of
     u = 2^(e-53) (below 2^-1022 they are sparser, but every add there is
     exact); with S = total/u and V = value/u (both exact), one rounded
@@ -195,16 +194,16 @@ def _advance(total: float, value: float, plays: int) -> float:
     even.  While the sum stays at or below 2^e, D is the same every step
     (once S is even, on a tie), so k adds land on (S + k·D)·u.  A zero
     total, a value of at least 2^(e-2), a tie on an odd S, and the add that
-    leaves the binade each take one plain add.  Any other sign or a
-    non-finite input is summed by np.add.accumulate.
+    leaves the binade each take one plain add.  Per-play regret is never
+    negative, so a negative or non-finite input raises ValueError.
     """
     s, v = float(total), float(value)
+    if not (s >= 0.0 and v >= 0.0 and math.isfinite(s) and math.isfinite(v)):
+        raise ValueError(f"regret sums need a finite total and value >= 0, got {s!r} and {v!r}")
     if plays <= 0:
         return s
     if v == 0.0:
         return s + v
-    if not (v > 0.0 and s >= 0.0 and math.isfinite(v) and math.isfinite(s)):
-        return _accumulate(s, v, plays)
     while plays:
         e = math.frexp(s)[1]
         k = 0
@@ -234,17 +233,6 @@ def _advance(total: float, value: float, plays: int) -> float:
             if s == math.inf:
                 return s
     return s
-
-
-def _accumulate(total: float, value: float, plays: int) -> float:
-    """_advance by np.add.accumulate, in pieces of at most 2^16 plays."""
-    while plays > 0:
-        n = min(plays, 1 << 16)
-        buf = np.full(n + 1, value)
-        buf[0] = total
-        total = float(np.add.accumulate(buf)[-1])
-        plays -= n
-    return total
 
 
 @dataclass
@@ -314,7 +302,15 @@ class RegretTrace:
         kwargs = {f.name: data[f.name] for f in fields(cls) if f.name in data}
         kwargs["rounds"] = [RoundRecord.from_json_dict(r) for r in data["rounds"]]
         kwargs["segments"] = [(int(c), float(v)) for c, v in data["regret_segments"]]
-        return cls(**kwargs)
+        for count, value in kwargs["segments"]:
+            if count < 0 or not (value >= 0.0 and math.isfinite(value)):
+                raise ValueError(f"regret segment {[count, value]}: need a play count >= 0 "
+                                 "and a finite regret >= 0")
+        trace = cls(**kwargs)
+        # Sum the segments now, so a sum that overflows fails the load.
+        if not math.isfinite(trace.final_regret):
+            raise ValueError("regret segments sum past the largest float")
+        return trace
 
 
 def _fit_coreset_to_budget(coreset: Coreset, budget: int) -> Coreset:
@@ -382,12 +378,13 @@ def _estimate(
 # active-set content.  An entry is a d x d Gram plus at most
 # _support_bound(r) weights, so the cap holds the cache to a few MB.
 DESIGN_CACHE_SIZE = 128
+DESIGN_TOL = 0.25
 _designs: OrderedDict[tuple, Design] = OrderedDict()
 
 
-def _design_for(sub: ActionSet, tol: float) -> Design:
-    """compute_design(sub, tol), reused if this process already ran it on
-    the same vectors.
+def _design_for(sub: ActionSet) -> Design:
+    """compute_design(sub, tol=DESIGN_TOL), reused if this process already
+    ran it on the same vectors.
 
     compute_design is deterministic, so equal bytes give a bit-equal design
     and a reused one leaves every trace byte as it was.  Cached designs are
@@ -397,12 +394,12 @@ def _design_for(sub: ActionSet, tol: float) -> Design:
     actually computed.
     """
     vecs = sub.vectors
-    key = (vecs.shape, hashlib.blake2b(vecs.tobytes()).digest(), tol)
+    key = (vecs.shape, hashlib.blake2b(vecs.tobytes()).digest())
     design = _designs.get(key)
     if design is not None:
         _designs.move_to_end(key)
         return design
-    design = _designs[key] = compute_design(sub, tol=tol)
+    design = _designs[key] = compute_design(sub, tol=DESIGN_TOL)
     if len(_designs) > DESIGN_CACHE_SIZE:
         _designs.popitem(last=False)
     return design
@@ -413,13 +410,9 @@ def _run(
     schedule: Schedule,
     cfg: ThresholdConfig,
     privacy: PrivacyParams,
-    rng: int | np.random.Generator,
+    rng: np.random.Generator,
     estimator: str,
 ) -> RegretTrace:
-    if isinstance(rng, (int, np.integer)):
-        filter_rng = rng_from("policy-filter", int(rng))
-    else:
-        filter_rng = rng
     actions = env.actions
     all_vectors = actions.vectors
     d = actions.dim
@@ -438,15 +431,13 @@ def _run(
             break
         budget = min(budgets[i - 1], remaining)
         sub = actions.subset(active)
-        design = _design_for(sub, tol=0.25)
+        design = _design_for(sub)
         # Design indices are local to the active subset; map them back to
         # the instance's action indices (active is ascending, so the entry
         # order is unchanged).
         local = build_coreset(design, budget, cfg.model, cfg.nu)
         coreset = replace(local, entries=[(active[j], n) for j, n in local.entries])
         coreset = _fit_coreset_to_budget(coreset, remaining)
-        if not coreset.entries:
-            break
 
         reports = env.play_batch(coreset, i, privacy)
         active_vectors = all_vectors[active]
@@ -462,7 +453,7 @@ def _run(
         try:
             theta, diag, fallback = _estimate(
                 estimator, coreset, reports,
-                active_vectors, all_vectors, privacy, filter_rng,
+                active_vectors, all_vectors, privacy, rng,
             )
             record.filter_diagnostics = diag
             record.filter_fallback = fallback
@@ -528,7 +519,7 @@ def run_elimination(
     schedule: Schedule,
     cfg: ThresholdConfig,
     privacy: PrivacyParams,
-    rng: int | np.random.Generator,
+    rng: np.random.Generator,
 ) -> RegretTrace:
     """Robust arm elimination over the full horizon."""
     return _run(env, schedule, cfg, privacy, rng, estimator="robust")
@@ -539,7 +530,7 @@ def run_vanilla_elimination(
     schedule: Schedule,
     cfg: ThresholdConfig,
     privacy: PrivacyParams,
-    rng: int | np.random.Generator,
+    rng: np.random.Generator,
 ) -> RegretTrace:
     """Baseline: plain least squares and corruption-blind thresholds.
 
@@ -555,7 +546,7 @@ def run_nonrobust_elimination(
     schedule: Schedule,
     cfg: ThresholdConfig,
     privacy: PrivacyParams,
-    rng: int | np.random.Generator,
+    rng: np.random.Generator,
 ) -> RegretTrace:
     """Ablation: vanilla least squares but corruption-aware widths."""
     return _run(env, schedule, cfg, privacy, rng, estimator="vanilla")

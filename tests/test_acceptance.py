@@ -54,7 +54,7 @@ def test_criterion_01_design_certificate():
         design = compute_design(ActionSet(unit_rows(rng, k, d)), tol=0.25)
         assert design.gvalue <= 2.0 * design.effective_dim + 1e-9
         support_cap = 4.0 * d * max(1.0, math.log(math.log(d)))
-        assert len(design.support) <= support_cap
+        assert len(design.weights) <= support_cap
     assert time.monotonic() - started < 60.0
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rpbandits.design
 from rpbandits.design import (
     ActionSet,
     Coreset,
@@ -13,6 +14,7 @@ from rpbandits.design import (
     compute_design,
     span_leverages,
 )
+from rpbandits.env import generate_instance
 from rpbandits.errors import InvalidNu, OutOfSpan
 from rpbandits.robust import robust_least_squares, vanilla_least_squares
 
@@ -156,9 +158,9 @@ def test_design_golden_random_unit_vectors():
     acts = ActionSet(unit_rows(rng, 100, 5))
     design = compute_design(acts, tol=0.05)
     assert design.gvalue <= 5.25
-    assert len(design.support) <= 20
+    assert len(design.weights) <= 20
     assert design.gvalue == pytest.approx(5.229347314606026, rel=1e-6)
-    assert len(design.support) == 17
+    assert len(design.weights) == 17
 
 
 def test_design_invariants_random_sets():
@@ -172,8 +174,26 @@ def test_design_invariants_random_sets():
         assert abs(weights.sum() - 1.0) <= 1e-9
         assert (weights >= 0).all()
         assert design.gvalue <= 2 * r
-        assert len(design.support) <= design.support_bound()
-        design.validate()
+        assert len(design.weights) <= rpbandits.design._support_bound(r)
+
+
+def test_support_above_the_bound_is_thinned(monkeypatch):
+    # At tol = 0.05 Frank-Wolfe leaves 121 weights on this set, above the
+    # bound of 87 for r = 20, so the support is thinned down to the bound.
+    seen = []
+    thin = rpbandits.design._thin_support
+
+    def spy(coords, w, rank, bound):
+        seen.append((int(np.count_nonzero(w)), bound))
+        return thin(coords, w, rank, bound)
+
+    monkeypatch.setattr(rpbandits.design, "_thin_support", spy)
+    design = compute_design(generate_instance(dim=20, num_actions=300, seed=0).actions, tol=0.05)
+    assert seen == [(121, 87)]
+    assert design.effective_dim == 20
+    assert len(design.weights) <= 87
+    assert design.gvalue <= 2 * 20
+    assert sum(design.weights.values()) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_kiefer_wolfowitz_certificate():

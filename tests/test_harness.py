@@ -111,6 +111,11 @@ class TestConfigValidation:
         with pytest.raises(ConfigInvalid, match="seeds"):
             validate_config(small_config(seeds=[0, 3, 0]))
 
+    def test_checkpoints_stop_at_the_horizon(self):
+        validate_config(small_config(checkpoints=[0, 100, 200]))
+        with pytest.raises(ConfigInvalid, match="checkpoints: 201 is past the horizon 200"):
+            validate_config(small_config(checkpoints=[100, 201]))
+
     def test_version_is_pinned(self):
         with pytest.raises(ConfigInvalid, match="version"):
             validate_config(small_config(version=2))
@@ -736,6 +741,25 @@ class TestCli:
         names = sorted(os.listdir(out / "traces"))
         assert names == ["robust_0.json", "robust_3.json"]
 
+    def test_run_seed_count_and_out_from_environment(self, tmp_path, monkeypatch):
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(small_config(baselines=[])))
+        out = tmp_path / "env-out"
+        monkeypatch.setenv("RPBANDITS_OUT", str(out))
+        rc = main(["run", "--config", str(cfg_path), "--seeds", "3"])
+        assert rc == 0
+        names = sorted(os.listdir(out / "traces"))
+        assert names == ["robust_0.json", "robust_1.json", "robust_2.json"]
+
+    def test_checkpoint_past_horizon_exits_2(self, tmp_path, capsys):
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(small_config(checkpoints=[100, 2000])))
+        out = tmp_path / "out"
+        rc = main(["run", "--config", str(cfg_path), "--out", str(out)])
+        assert rc == 2
+        assert "checkpoints: 2000 is past the horizon 200" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_duplicate_seed_flag_exits_2(self, tmp_path, capsys):
         cfg_path = tmp_path / "run.json"
         cfg_path.write_text(json.dumps(small_config()))
@@ -792,6 +816,29 @@ class TestCli:
         rc = main([command, "--out", str(out)])
         assert rc == 2
         assert f"no trace in {trace}" in capsys.readouterr().err
+
+    def test_manifest_without_header_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        run_sweep(small_config(), str(out))
+        manifest = out / "manifest.json"
+        lines = manifest.read_text().splitlines(keepends=True)
+        manifest.write_text("".join(line for line in lines if '"kind":"header"' not in line))
+        rc = main(["summarize", "--out", str(out)])
+        assert rc == 2
+        assert "no manifest header" in capsys.readouterr().err
+
+    def test_hand_edited_regret_segment_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        run_sweep(small_config(), str(out))
+        trace = out / "traces" / "vanilla_0.json"
+        data = json.loads(trace.read_text())
+        data["regret_segments"][0][1] = -0.5
+        trace.write_text(json.dumps(data))
+        rc = main(["summarize", "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"no trace in {trace}" in err
+        assert "regret segment" in err
 
     def test_invalid_config_exits_2(self, tmp_path, capsys):
         config = small_config()

@@ -9,11 +9,11 @@ from collections import OrderedDict
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import rpbandits.policy as policy_module
-from rpbandits.design import ActionSet
+from rpbandits.design import ActionSet, Coreset
 from rpbandits.env import AdversaryConfig, BanditInstance, LearnerEnv, generate_instance
 from rpbandits.errors import CheckpointOutOfRange, TooManyRemoved
 from rpbandits.policy import (
@@ -30,6 +30,7 @@ from rpbandits.policy import (
 )
 from rpbandits.privacy import PrivacyParams
 from rpbandits.robust import FilterDiagnostics
+from rpbandits.seeding import rng_from
 
 NO_PRIVACY = PrivacyParams(enabled=False)
 CLEAN = AdversaryConfig()
@@ -234,11 +235,7 @@ class TestRegretTrace:
         assert peak < 8 * 2**20
         assert 0.0 < mid < total
 
-    def test_cumulative_at_does_no_per_play_work(self, monkeypatch):
-        def per_play(*args):
-            raise AssertionError("summed play by play")
-
-        monkeypatch.setattr(policy_module, "_accumulate", per_play)
+    def test_cumulative_at_does_no_per_play_work(self):
         trace = RegretTrace(
             horizon=10**12, num_rounds=2, model="M1", rounds=[],
             segments=[(10**12, 0.25)], optimal_arm=0,
@@ -296,6 +293,17 @@ class TestRegretTrace:
         assert rec.filter_diagnostics == FilterDiagnostics(2, 0.7, 3)
         assert json.loads(text)["regret_segments"] == [[3, 0.5], [2, 0.0], [5, 1.0]]
 
+    @pytest.mark.parametrize("index, segment", [
+        (1, [-1, 0.5]), (1, [2, -0.5]), (1, [2, math.nan]), (1, [2, math.inf]),
+        (1, [2, 1e308]),  # the running sum overflows before the last segment
+        (2, [5, 1e308]),  # or in it
+    ])
+    def test_json_rejects_a_bad_segment(self, index, segment):
+        data = make_trace().to_json_dict()
+        data["regret_segments"][index] = segment
+        with pytest.raises(ValueError, match="regret"):
+            RegretTrace.from_json_dict(data)
+
 
 def _bits(x: float) -> bytes:
     return struct.pack("<d", x)
@@ -321,8 +329,10 @@ def ties(draw):
 @st.composite
 def binade_edges(draw):
     # Just below, at or just above 2^e, with a value of a few units there.
+    # A few units below the smallest subnormals is negative, which _advance
+    # rejects, so the total is clamped at 0.
     edge = 2.0 ** draw(st.integers(-1074, 1023))
-    total = edge + draw(st.integers(-40, 8)) * math.ulp(edge) / 2
+    total = max(0.0, edge + draw(st.integers(-40, 8)) * math.ulp(edge) / 2)
     return total, (draw(st.integers(0, 6)) + draw(fractions)) * math.ulp(total)
 
 
@@ -353,10 +363,11 @@ pairs = (
     | st.tuples(totals, st.just(0.0))
     | st.tuples(totals, st.floats(0.0, 1e300))
 )
-fallback_pairs = st.tuples(
-    st.floats(allow_nan=True, allow_infinity=True),
-    st.floats(max_value=0.0) | st.sampled_from([math.nan, math.inf, -math.inf]),
-) | st.tuples(st.sampled_from([math.nan, math.inf, -math.inf, -1.5]), st.floats(0.0, 1e300))
+not_regrets = st.floats(max_value=-5e-324) | st.sampled_from([math.nan, math.inf, -math.inf])
+bad_pairs = (
+    st.tuples(st.floats(allow_nan=True, allow_infinity=True), not_regrets)
+    | st.tuples(not_regrets, st.floats(0.0, 1e300))
+)
 
 
 class TestAdvance:
@@ -371,13 +382,13 @@ class TestAdvance:
         assert _bits(policy_module._advance(total, value, n)) == _bits(expected)
 
     @settings(max_examples=300, deadline=None)
-    @given(fallback_pairs, plays)
-    def test_fallback_inputs_match_play_by_play(self, pair, n):
+    @given(bad_pairs, plays)
+    @example((math.nan, 0.0), 5)  # checked before the shortcut for a zero value
+    @example((1.0, -0.5), 0)      # and before the one for no plays
+    def test_negative_or_non_finite_inputs_raise(self, pair, n):
         total, value = pair
-        with np.errstate(all="ignore"):
-            expected = _play_by_play(total, value, n)
-            got = policy_module._advance(total, value, n)
-        assert _bits(got) == _bits(expected) or (math.isnan(got) and math.isnan(expected))
+        with pytest.raises(ValueError, match="finite total and value >= 0"):
+            policy_module._advance(total, value, n)
 
     @pytest.mark.parametrize("total, value, n", [
         (2.0 ** 52 + 1.0, 0.5, 5),   # a tie on an odd sum moves once, then sticks
@@ -400,13 +411,18 @@ class TestEliminationRun:
         env = LearnerEnv(inst, CLEAN, seed=1)
         trace = run_elimination(
             env, Schedule(horizon=500, num_rounds=4),
-            ThresholdConfig(delta=0.05), NO_PRIVACY, rng=1,
+            ThresholdConfig(delta=0.05), NO_PRIVACY, rng=rng_from("policy-filter", 1),
         )
         assert trace.total_plays == 500
         assert trace.final_regret == 0.0
         assert trace.chosen_arm == 0
         assert len(trace.rounds) == 1
         assert trace.rounds[0].round_index == 4
+        final = trace.rounds[0]
+        assert final.chosen_arm == 0
+        assert final.batch_size == 500
+        assert final.estimate is None
+        assert trace.segments == [(500, 0.0)]
 
     def test_noiseless_run_eliminates_in_first_round(self):
         inst = BanditInstance(
@@ -415,7 +431,8 @@ class TestEliminationRun:
         env = LearnerEnv(inst, CLEAN, seed=2)
         trace = run_elimination(
             env, Schedule(horizon=100, num_rounds=2),
-            ThresholdConfig(delta=0.05, c_gamma=1e-9), NO_PRIVACY, rng=2,
+            ThresholdConfig(delta=0.05, c_gamma=1e-9), NO_PRIVACY,
+            rng=rng_from("policy-filter", 2),
         )
         first = trace.rounds[0]
         assert first.active_after == [0]
@@ -431,7 +448,7 @@ class TestEliminationRun:
         env = LearnerEnv(inst, CLEAN, seed=5)
         trace = run_elimination(
             env, Schedule(horizon=3000, num_rounds=5),
-            ThresholdConfig(delta=0.05), NO_PRIVACY, rng=5,
+            ThresholdConfig(delta=0.05), NO_PRIVACY, rng=rng_from("policy-filter", 5),
         )
         assert trace.total_plays == 3000
         assert trace.rounds[-1].cumulative_plays == 3000
@@ -449,7 +466,7 @@ class TestEliminationRun:
         env = LearnerEnv(inst, CLEAN, seed=8)
         trace = run_elimination(
             env, Schedule(horizon=4000, num_rounds=5),
-            ThresholdConfig(delta=0.05), NO_PRIVACY, rng=8,
+            ThresholdConfig(delta=0.05), NO_PRIVACY, rng=rng_from("policy-filter", 8),
         )
         vectors = inst.actions.vectors
         checked = 0
@@ -470,9 +487,13 @@ class TestEliminationRun:
         inst = generate_instance(dim=3, num_actions=12, seed=11)
         sched = Schedule(horizon=2000, num_rounds=4)
         cfg = ThresholdConfig(delta=0.05)
-        robust = run_elimination(LearnerEnv(inst, CLEAN, seed=11), sched, cfg, NO_PRIVACY, rng=11)
+        robust = run_elimination(
+            LearnerEnv(inst, CLEAN, seed=11), sched, cfg, NO_PRIVACY,
+            rng=rng_from("policy-filter", 11),
+        )
         vanilla = run_vanilla_elimination(
-            LearnerEnv(inst, CLEAN, seed=11), sched, cfg, NO_PRIVACY, rng=11
+            LearnerEnv(inst, CLEAN, seed=11), sched, cfg, NO_PRIVACY,
+            rng=rng_from("policy-filter", 11),
         )
         assert robust.segments == vanilla.segments
         for r_rec, v_rec in zip(robust.rounds, vanilla.rounds):
@@ -489,13 +510,16 @@ class TestEliminationRun:
         cfg = ThresholdConfig(delta=0.05, alpha=0.1)
         adv = AdversaryConfig(alpha=0.1, strategy="constant", magnitude=20.0)
         vanilla = run_vanilla_elimination(
-            LearnerEnv(inst, adv, seed=14), sched, cfg, NO_PRIVACY, rng=14
+            LearnerEnv(inst, adv, seed=14), sched, cfg, NO_PRIVACY,
+            rng=rng_from("policy-filter", 14),
         )
         nonrobust = run_nonrobust_elimination(
-            LearnerEnv(inst, adv, seed=14), sched, cfg, NO_PRIVACY, rng=14
+            LearnerEnv(inst, adv, seed=14), sched, cfg, NO_PRIVACY,
+            rng=rng_from("policy-filter", 14),
         )
         robust = run_elimination(
-            LearnerEnv(inst, adv, seed=14), sched, cfg, NO_PRIVACY, rng=14
+            LearnerEnv(inst, adv, seed=14), sched, cfg, NO_PRIVACY,
+            rng=rng_from("policy-filter", 14),
         )
         assert vanilla.rounds[0].gamma < nonrobust.rounds[0].gamma
         assert nonrobust.rounds[0].gamma == robust.rounds[0].gamma
@@ -511,7 +535,7 @@ class TestEliminationRun:
         dumps = []
         for _ in range(2):
             env = LearnerEnv(inst, adv, seed=33)
-            trace = run_elimination(env, sched, cfg, NO_PRIVACY, rng=33)
+            trace = run_elimination(env, sched, cfg, NO_PRIVACY, rng=rng_from("policy-filter", 33))
             dumps.append(json.dumps(trace.to_json_dict(), sort_keys=True))
         assert dumps[0] == dumps[1]
 
@@ -520,7 +544,7 @@ class TestEliminationRun:
         env = LearnerEnv(inst, AdversaryConfig(alpha=0.1, strategy="sign-flip"), seed=2)
         trace = run_elimination(
             env, Schedule(horizon=800, num_rounds=3),
-            ThresholdConfig(delta=0.05, alpha=0.1), NO_PRIVACY, rng=2,
+            ThresholdConfig(delta=0.05, alpha=0.1), NO_PRIVACY, rng=rng_from("policy-filter", 2),
         )
         back = RegretTrace.from_json_dict(trace.to_json_dict())
         assert json.dumps(back.to_json_dict(), sort_keys=True) == json.dumps(
@@ -541,7 +565,7 @@ class TestEliminationRun:
         env = LearnerEnv(inst, CLEAN, seed=6)
         trace = run_elimination(
             env, Schedule(horizon=500, num_rounds=3),
-            ThresholdConfig(delta=0.05), NO_PRIVACY, rng=6,
+            ThresholdConfig(delta=0.05), NO_PRIVACY, rng=rng_from("policy-filter", 6),
         )
         exploration = trace.rounds[:-1]
         assert exploration
@@ -562,7 +586,8 @@ class TestEliminationRun:
         env = LearnerEnv(inst, CLEAN, seed=3)
         trace = run_elimination(
             env, Schedule(horizon=5, num_rounds=3),
-            ThresholdConfig(delta=0.1, c_gamma=100.0), NO_PRIVACY, rng=3,
+            ThresholdConfig(delta=0.1, c_gamma=100.0), NO_PRIVACY,
+            rng=rng_from("policy-filter", 3),
         )
         assert len(trace.rounds) == 3
         skipped = trace.rounds[1]
@@ -576,6 +601,43 @@ class TestEliminationRun:
         # Round 1 plays each arm once (regret 0 + 0.6 + 0.8); round 2 plays
         # the two arms that survived the budget trim (0 + 0.6).
         assert trace.final_regret == pytest.approx(2.0)
+
+
+class TestFitCoresetToBudget:
+    fit = staticmethod(policy_module._fit_coreset_to_budget)
+
+    def test_largest_count_goes_first_and_ties_go_to_the_highest_index(self):
+        assert self.fit(Coreset([(0, 2), (2, 2)], "M1"), 3).entries == [(0, 2), (2, 1)]
+        assert self.fit(Coreset([(0, 3), (1, 2), (5, 1)], "M1"), 4).entries == [
+            (0, 2), (1, 1), (5, 1)]
+
+    def test_decrements_then_drops_the_highest_index(self):
+        coreset = Coreset([(0, 2), (1, 1), (4, 1)], "M2")
+        fitted = self.fit(coreset, 2)
+        assert fitted.entries == [(0, 1), (1, 1)]
+        assert fitted.model == "M2"
+
+    def test_run_trims_counts_when_the_budget_runs_out(self, monkeypatch):
+        # T = 5 over 3 rounds: round 1 plays 2, and round 2's coreset of
+        # 2 + 2 plays must fit the 3 plays left.
+        calls = []
+        real = policy_module._fit_coreset_to_budget
+
+        def spy(coreset, budget):
+            fitted = real(coreset, budget)
+            calls.append((coreset.entries, budget, fitted.entries))
+            return fitted
+
+        monkeypatch.setattr(policy_module, "_fit_coreset_to_budget", spy)
+        trace = run_elimination(
+            LearnerEnv(generate_instance(2, 3, 0), CLEAN, seed=0),
+            Schedule(horizon=5, num_rounds=3), ThresholdConfig(delta=0.05),
+            NO_PRIVACY, rng=rng_from("policy-filter", 0),
+        )
+        assert calls[1] == ([(0, 2), (2, 2)], 3, [(0, 2), (2, 1)])
+        assert trace.rounds[1].coreset_entries == [(0, 2), (2, 1)]
+        assert trace.rounds[1].batch_size == 3
+        assert trace.total_plays == 5
 
 
 class TestDesignReuse:
@@ -598,26 +660,24 @@ class TestDesignReuse:
         return ActionSet(np.eye(4)[:k] * 0.5)
 
     def test_equal_content_is_a_hit(self, computed):
-        first = policy_module._design_for(self.action_set(3), tol=0.25)
-        again = policy_module._design_for(self.action_set(3), tol=0.25)
+        first = policy_module._design_for(self.action_set(3))
+        again = policy_module._design_for(self.action_set(3))
         assert again is first
         assert computed == [3]
-        policy_module._design_for(self.action_set(3), tol=0.1)
-        assert computed == [3, 3]
 
     def test_least_recently_used_is_evicted_at_cap(self, computed, monkeypatch):
         monkeypatch.setattr(policy_module, "DESIGN_CACHE_SIZE", 2)
         for k in (2, 3, 2, 4):  # 2 is used again before 4 evicts the oldest
-            policy_module._design_for(self.action_set(k), tol=0.25)
+            policy_module._design_for(self.action_set(k))
         assert computed == [2, 3, 4]
         assert len(policy_module._designs) == 2
-        policy_module._design_for(self.action_set(2), tol=0.25)
+        policy_module._design_for(self.action_set(2))
         assert computed == [2, 3, 4]
-        policy_module._design_for(self.action_set(3), tol=0.25)
+        policy_module._design_for(self.action_set(3))
         assert computed == [2, 3, 4, 3]
 
     def test_cached_design_is_read_only(self, computed):
-        design = policy_module._design_for(self.action_set(3), tol=0.25)
+        design = policy_module._design_for(self.action_set(3))
         with pytest.raises(TypeError):
             design.weights[0] = 1.0
         with pytest.raises(AttributeError):
