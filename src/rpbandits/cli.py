@@ -7,14 +7,13 @@ import os
 import sys
 
 from .env import NOISE_KINDS, generate_instance, save_instance
-from .errors import BanditError
+from .errors import BanditError, ConfigInvalid
 from .harness import (
     emit_plotdata,
     load_sweep,
     run_sweep,
     summarize,
     summary_table,
-    validate_config,
     write_summary_csv,
 )
 
@@ -125,11 +124,13 @@ def _resolve_out(args) -> str:
 
 
 def _cmd_run(args) -> int:
-    with open(args.config) as fh:
-        config = json.load(fh)
-    if args.seeds is not None:
+    try:
+        with open(args.config) as fh:
+            config = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ConfigInvalid(f"cannot read config {args.config}: {exc}") from exc
+    if args.seeds is not None and isinstance(config, dict):
         config["seeds"] = args.seeds
-    validate_config(config)
     out_dir = _resolve_out(args)
     base_dir = os.path.dirname(os.path.abspath(args.config))
     result = run_sweep(config, out_dir, workers=args.workers, resume=args.resume,

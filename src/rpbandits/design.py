@@ -29,6 +29,36 @@ SUPPORT_CONSTANT = 4.0
 MODELS = ("M1", "M2")  # per-reward and aggregating clients
 
 
+def is_int(value) -> bool:
+    """A JSON integer: a Python or NumPy int, never a bool and never 2.0."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def is_real(value) -> bool:
+    """A JSON number: an int or a float, never a bool."""
+    return is_int(value) or isinstance(value, (float, np.floating))
+
+
+def json_fields(data, required: tuple, optional: tuple = ()) -> None:
+    """Raise TypeError unless `data` is a JSON object, and ValueError naming
+    a key unless it has every required key and no key outside the two sets."""
+    if not isinstance(data, dict):
+        raise TypeError(f"need a JSON object, got {type(data).__name__}")
+    missing = [key for key in required if key not in data]
+    unknown = sorted(set(data) - {*required, *optional})
+    if missing or unknown:
+        key = (missing or unknown)[0]
+        raise ValueError(f"{key} is {'required' if missing else 'not a known key'}")
+
+
+def json_reals(value, name: str) -> np.ndarray:
+    """A (nested) list of JSON numbers as a float array, without parsing strings."""
+    arr = np.asarray(value, dtype=object)
+    if not all(map(is_real, arr.flat)):
+        raise TypeError(f"{name} must hold only numbers")
+    return arr.astype(float)
+
+
 @dataclass(frozen=True)
 class ActionSet:
     """Ordered finite set of finite actions in R^d, d >= 1, each of norm <= 1."""
@@ -65,8 +95,11 @@ class ActionSet:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ActionSet":
-        arr = np.asarray(data["actions"], dtype=float)
-        if arr.ndim != 2 or arr.shape[1] != int(data["dim"]):
+        json_fields(data, ("dim", "actions"))
+        if not is_int(data["dim"]):
+            raise TypeError(f"dim must be an integer, got {data['dim']!r}")
+        arr = json_reals(data["actions"], "actions")
+        if arr.ndim != 2 or arr.shape[1] != data["dim"]:
             raise ValueError("action set JSON has inconsistent dimensions")
         return cls(arr)
 

@@ -33,7 +33,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .design import ActionSet, Coreset
+from .design import ActionSet, Coreset, is_int, is_real, json_fields, json_reals
 from .privacy import PrivacyParams, laplace_icdf, laplace_scale
 from .seeding import derive_entropy
 
@@ -81,8 +81,9 @@ class BanditInstance:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "BanditInstance":
+        json_fields(data, ("theta_star", "actions"), ("noise",))
         return cls(
-            theta_star=np.asarray(data["theta_star"], dtype=float),
+            theta_star=json_reals(data["theta_star"], "theta_star"),
             actions=ActionSet.from_json_dict(data["actions"]),
             noise=data.get("noise", "gaussian"),
         )
@@ -106,8 +107,11 @@ def generate_instance(
     theta_norm: float = 1.0,
 ) -> BanditInstance:
     """Random instance: uniform unit-sphere actions and a random theta*."""
-    if not (0.0 <= theta_norm <= 1.0):
-        raise ValueError("theta_norm must lie in [0, 1]")
+    for name, value in (("dim", dim), ("num_actions", num_actions), ("seed", seed)):
+        if not is_int(value):
+            raise TypeError(f"{name} must be an integer, got {value!r}")
+    if not (is_real(theta_norm) and 0.0 <= theta_norm <= 1.0):
+        raise ValueError("theta_norm must be a number in [0, 1]")
     rng = np.random.default_rng(np.random.SeedSequence(derive_entropy("instance", seed)))
     acts = rng.standard_normal((num_actions, dim))
     acts /= np.linalg.norm(acts, axis=1, keepdims=True)

@@ -27,7 +27,9 @@ class TooManyRemoved(BanditError):
 
 
 class ConfigInvalid(BanditError, ValueError):
-    """An experiment configuration failed schema or semantic validation."""
+    """An experiment config cannot be run: it cannot be read as JSON, its
+    shape or a sweep rule fails CONFIG_SCHEMA, or an object it builds (a
+    section dataclass or the instance) rejects a value."""
 
 
 class CheckpointOutOfRange(BanditError, ValueError):

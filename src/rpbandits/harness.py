@@ -17,12 +17,8 @@ from dataclasses import dataclass, replace
 import jsonschema
 import numpy as np
 
-from .design import MODELS
+from .design import is_int
 from .env import (
-    CORRUPT_STAGES,
-    MAX_MAGNITUDE,
-    NOISE_KINDS,
-    STRATEGIES,
     AdversaryConfig,
     BanditInstance,
     LearnerEnv,
@@ -46,6 +42,16 @@ CONFIG_VERSION = 1
 VARIANTS = ("robust", "vanilla", "non-private", "non-robust")
 PLOTDATA_HEADER = "variant,seed,plays,cumulative_regret"
 
+
+def _object(required: tuple = (), **types: str | list) -> dict:
+    """Schema of a JSON object with these fields of these JSON types and no other."""
+    return {"type": "object", "additionalProperties": False, "required": list(required),
+            "properties": {name: {"type": kind} for name, kind in types.items()}}
+
+
+# The shape of a config: its keys and their JSON types, and the rules of
+# the sweep itself.  Each value's range is checked by the object it builds
+# (see _sections and resolve_instance), so no range is written here twice.
 CONFIG_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
     "type": "object",
@@ -54,85 +60,17 @@ CONFIG_SCHEMA = {
     "properties": {
         "version": {"const": CONFIG_VERSION},
         "instance": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "file": {"type": "string"},
-                "inline": {
-                    "type": "object",
-                    "additionalProperties": False,
-                    "required": ["theta_star", "actions"],
-                    "properties": {
-                        "theta_star": {"type": "array", "items": {"type": "number"}},
-                        "actions": {
-                            "type": "object",
-                            "additionalProperties": False,
-                            "required": ["dim", "actions"],
-                            "properties": {
-                                "dim": {"type": "integer", "minimum": 1},
-                                "actions": {"type": "array"},
-                            },
-                        },
-                        "noise": {"enum": list(NOISE_KINDS)},
-                    },
-                },
-                "generate": {
-                    "type": "object",
-                    "additionalProperties": False,
-                    "required": ["dim", "num_actions", "seed"],
-                    "properties": {
-                        "dim": {"type": "integer", "minimum": 1},
-                        "num_actions": {"type": "integer", "minimum": 1},
-                        "seed": {"type": "integer"},
-                        "noise": {"enum": list(NOISE_KINDS)},
-                        "theta_norm": {"type": "number", "minimum": 0, "maximum": 1},
-                    },
-                },
-            },
+            **_object(file="string", inline="object", generate="object"),
             "minProperties": 1,
             "maxProperties": 1,
         },
-        "schedule": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["horizon"],
-            "properties": {
-                "horizon": {"type": "integer", "minimum": 1},
-                "num_rounds": {"type": "integer", "minimum": 2},
-            },
-        },
-        "model": {"enum": list(MODELS)},
-        "adversary": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "alpha": {"type": "number", "minimum": 0, "exclusiveMaximum": 0.25},
-                "strategy": {"enum": list(STRATEGIES)},
-                "magnitude": {"type": "number", "minimum": 0, "maximum": MAX_MAGNITUDE},
-                "corrupt_stage": {"enum": list(CORRUPT_STAGES)},
-                "aggregate_corruption": {"type": "boolean"},
-            },
-        },
-        "privacy": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "epsilon": {"type": "number", "exclusiveMinimum": 0},
-                "enabled": {"type": "boolean"},
-                "clip": {"type": ["number", "null"], "exclusiveMinimum": 0},
-            },
-        },
-        "threshold": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["delta"],
-            "properties": {
-                "delta": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
-                "alpha": {"type": "number", "minimum": 0, "exclusiveMaximum": 0.25},
-                "c_gamma": {"type": "number", "exclusiveMinimum": 0},
-                "nu": {"type": ["number", "null"], "exclusiveMinimum": 0, "exclusiveMaximum": 1},
-            },
-        },
+        "schedule": _object(("horizon",), horizon="integer", num_rounds="integer"),
+        "model": {"type": "string"},
+        "adversary": _object(alpha="number", strategy="string", magnitude="number",
+                             corrupt_stage="string", aggregate_corruption="boolean"),
+        "privacy": _object(epsilon="number", enabled="boolean", clip=["number", "null"]),
+        "threshold": _object(("delta",), delta="number", alpha="number", c_gamma="number",
+                             nu=["number", "null"]),
         "seeds": {
             "oneOf": [
                 {"type": "integer", "minimum": 1},
@@ -154,20 +92,24 @@ CONFIG_SCHEMA = {
     },
 }
 
+# JSON Schema counts 2.0 as an integer; a config integer is a JSON integer.
+_Validator = jsonschema.validators.extend(
+    jsonschema.Draft202012Validator,
+    type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine(
+        "integer", lambda _checker, value: is_int(value)),
+)
+
 
 def validate_config(config: dict) -> None:
-    """Schema-validate a config dict; raises ConfigInvalid with a field path."""
-    validator = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
-    errors = sorted(validator.iter_errors(config), key=lambda e: list(e.absolute_path))
+    """Check a config's shape against CONFIG_SCHEMA and build its sections;
+    raises ConfigInvalid with a field path."""
+    errors = sorted(_Validator(CONFIG_SCHEMA).iter_errors(config),
+                    key=lambda e: list(e.absolute_path))
     if errors:
         err = errors[0]
         path = "/".join(str(p) for p in err.absolute_path) or "<root>"
         raise ConfigInvalid(f"config field {path}: {err.message}")
-    model = config["model"]
-    thr = config["threshold"]
-    if model == "M2" and thr.get("nu") is None:
-        raise ConfigInvalid("config field threshold/nu: required when model is M2")
-    horizon = config["schedule"]["horizon"]
+    horizon = _sections(config)[0].horizon
     late = [c for c in config.get("checkpoints", []) if c > horizon]
     if late:
         raise ConfigInvalid(f"config field checkpoints: {late[0]} is past the horizon {horizon}")
@@ -205,11 +147,33 @@ def _cells_of(config: dict) -> list[tuple[str, int]]:
     return [(v, s) for v in _variants_of(config) for s in _seeds_of(config)]
 
 
-def _schedule_of(config: dict) -> Schedule:
+def _build(cls, section: str, values: dict, **linked):
+    """cls(**values, **linked).  Each dataclass message starts with the field
+    it rejects, so a rejected value raises ConfigInvalid with its path;
+    `linked` fields come from top-level keys or other sections."""
+    try:
+        return cls(**values, **linked)
+    except ValueError as exc:
+        field = str(exc).split()[0]
+        path = field if field in linked else f"{section}/{field}"
+        raise ConfigInvalid(f"config field {path}: {exc}") from exc
+
+
+def _sections(config: dict, variant: str = "robust"):
+    """The (Schedule, PrivacyParams, ThresholdConfig, AdversaryConfig) of a cell."""
     sched = config["schedule"]
-    horizon = sched["horizon"]
-    num_rounds = sched.get("num_rounds", default_num_rounds(horizon))
-    return Schedule(horizon=horizon, num_rounds=num_rounds)
+    schedule = _build(Schedule, "schedule",
+                      {"num_rounds": default_num_rounds(sched["horizon"]), **sched})
+    # Each section's keys are its dataclass's fields, so the dataclass owns
+    # every default but one: a config without a privacy section runs
+    # non-private, while PrivacyParams() is private.
+    privacy = _build(PrivacyParams, "privacy", {"enabled": False, **config.get("privacy", {})})
+    if variant == "non-private":
+        privacy = replace(privacy, enabled=False)
+    threshold = _build(ThresholdConfig, "threshold", config["threshold"], model=config["model"],
+                       epsilon=privacy.epsilon if privacy.enabled else None)
+    adversary = _build(AdversaryConfig, "adversary", config.get("adversary", {}))
+    return schedule, privacy, threshold, adversary
 
 
 def run_cell(config: dict, variant: str, seed: int, base_dir: str | None = None) -> RegretTrace:
@@ -217,16 +181,7 @@ def run_cell(config: dict, variant: str, seed: int, base_dir: str | None = None)
     if variant not in VARIANTS:
         raise ConfigInvalid(f"unknown variant {variant!r}")
     instance = resolve_instance(config, base_dir)
-    schedule = _schedule_of(config)
-    # Each section's keys are its dataclass's fields, so the dataclass owns
-    # every default but one: a config without a privacy section runs
-    # non-private, while PrivacyParams() is private.
-    privacy = PrivacyParams(**{"enabled": False, **config.get("privacy", {})})
-    if variant == "non-private":
-        privacy = replace(privacy, enabled=False)
-    cfg = ThresholdConfig(**config["threshold"], model=config["model"],
-                          epsilon=privacy.epsilon if privacy.enabled else None)
-    adversary = AdversaryConfig(**config.get("adversary", {}))
+    schedule, privacy, cfg, adversary = _sections(config, variant)
 
     master = config.get("master_seed", 0)
     env = LearnerEnv(instance, adversary, seed_sequence(master, seed, variant, "env"))
@@ -317,14 +272,14 @@ def run_sweep(
     append) before the sweep moves on, so a crashed sweep can be resumed with
     resume=True; completed cells are detected via the manifest and skipped.
     Failed cells are recorded in the manifest with their error and reported
-    in the result rather than silently dropped.  An instance source that
-    passes the schema but cannot be built raises ConfigInvalid before
-    anything is written.
+    in the result rather than silently dropped.  A config that fails
+    validation, or whose instance source cannot be built, raises
+    ConfigInvalid before anything is written.
     """
     validate_config(config)
     try:
         resolve_instance(config, base_dir)
-    except (OSError, KeyError, ValueError) as exc:
+    except (OSError, TypeError, ValueError) as exc:
         source = next(iter(config["instance"]))
         raise ConfigInvalid(f"config field instance/{source}: {exc}") from exc
     started = time.monotonic()
@@ -459,7 +414,7 @@ def _sweep_result(out_dir: str, config: dict, records: list[dict]) -> SweepResul
             traces[(cell["variant"], cell["seed"])] = trace
     variants = _variants_of(config)
     seeds = _seeds_of(config)
-    checkpoints = config.get("checkpoints", _default_checkpoints(_schedule_of(config).horizon))
+    checkpoints = config.get("checkpoints", _default_checkpoints(config["schedule"]["horizon"]))
     stats, survival = _aggregate(traces, variants, seeds, checkpoints)
     return SweepResult(
         out_dir=out_dir, config=config, variants=variants, seeds=seeds,

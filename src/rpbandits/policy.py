@@ -40,7 +40,7 @@ class Schedule:
         if self.horizon < 1:
             raise ValueError("horizon must be at least 1")
         if self.num_rounds < 2:
-            raise ValueError("need at least 2 rounds")
+            raise ValueError("num_rounds must be at least 2")
 
     @property
     def q(self) -> float:
@@ -81,13 +81,15 @@ class ThresholdConfig:
             raise ValueError("delta must lie in (0, 1)")
         if not (0.0 <= self.alpha < 0.25):
             raise ValueError("alpha must lie in [0, 1/4)")
-        if self.c_gamma <= 0.0:
+        if not self.c_gamma > 0.0:
             raise ValueError("c_gamma must be positive")
         if self.model not in MODELS:
             raise ValueError(f"model must be one of {MODELS}")
-        if self.model == "M2" and (self.nu is None or not (0.0 < self.nu < 1.0)):
-            raise ValueError("M2 requires nu in (0, 1)")
-        if self.epsilon is not None and self.epsilon <= 0.0:
+        if self.nu is not None and not (0.0 < self.nu < 1.0):
+            raise ValueError("nu must lie in (0, 1)")
+        if self.model == "M2" and self.nu is None:
+            raise ValueError("nu is required when model is M2")
+        if self.epsilon is not None and not self.epsilon > 0.0:
             raise ValueError("epsilon must be positive when set")
 
 

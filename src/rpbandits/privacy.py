@@ -23,9 +23,9 @@ class PrivacyParams:
     clip: float | None = None
 
     def __post_init__(self):
-        if self.enabled and self.epsilon <= 0.0:
-            raise ValueError("epsilon must be positive when privacy is enabled")
-        if self.clip is not None and self.clip <= 0.0:
+        if not self.epsilon > 0.0:
+            raise ValueError("epsilon must be positive")
+        if self.clip is not None and not self.clip > 0.0:
             raise ValueError("clip must be positive when set")
 
     @property

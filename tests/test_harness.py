@@ -14,7 +14,14 @@ import pytest
 import rpbandits.harness as harness
 import rpbandits.policy as policy
 from rpbandits.cli import main
-from rpbandits.env import generate_instance, save_instance
+from rpbandits.design import MODELS
+from rpbandits.env import (
+    CORRUPT_STAGES,
+    NOISE_KINDS,
+    STRATEGIES,
+    generate_instance,
+    save_instance,
+)
 from rpbandits.errors import CheckpointOutOfRange, ConfigInvalid
 from rpbandits.harness import (
     PLOTDATA_HEADER,
@@ -177,35 +184,32 @@ def with_defaults_written_out(config: dict) -> dict:
 
 
 def enum_cases() -> list[tuple[str, dict, str]]:
-    """(id, config, variant) for every enum value the schema admits."""
-    props = harness.CONFIG_SCHEMA["properties"]
-    inst = props["instance"]["properties"]
-    adv = props["adversary"]["properties"]
+    """(id, config, variant) for every value of every config enum."""
     attack = {"alpha": 0.1, "strategy": "constant"}
     inline = {"theta_star": [0.6, 0.0],
               "actions": {"dim": 2, "actions": [[1.0, 0.0], [0.0, 1.0]]}}
     cases = []
-    for model in props["model"]["enum"]:
+    for model in MODELS:
         config = small_config(model=model)
         if model == "M2":
             config["threshold"] = dict(M2_THRESHOLD)
         cases.append((f"model={model}", config, "robust"))
-    for noise in inst["generate"]["properties"]["noise"]["enum"]:
+    for noise in NOISE_KINDS:
         gen = {"dim": 2, "num_actions": 6, "seed": 3, "noise": noise}
         cases.append((f"generate-noise={noise}",
                       small_config(instance={"generate": gen}), "robust"))
-    for noise in inst["inline"]["properties"]["noise"]["enum"]:
+    for noise in NOISE_KINDS:
         cases.append((f"inline-noise={noise}",
                       small_config(instance={"inline": {**inline, "noise": noise}}),
                       "robust"))
-    for strategy in adv["strategy"]["enum"]:
+    for strategy in STRATEGIES:
         cases.append((f"strategy={strategy}", small_config(
             adversary={**attack, "strategy": strategy}), "robust"))
-    for stage in adv["corrupt_stage"]["enum"]:
+    for stage in CORRUPT_STAGES:
         cases.append((f"corrupt-stage={stage}", small_config(
             adversary={**attack, "corrupt_stage": stage},
             privacy={"enabled": True}), "robust"))
-    for variant in props["baselines"]["items"]["enum"]:
+    for variant in harness.VARIANTS[1:]:
         cases.append((f"baseline={variant}",
                       small_config(baselines=[variant]), variant))
     return cases
@@ -235,8 +239,8 @@ def bound_cases() -> list[tuple[str, dict, str]]:
 
 
 class TestConfigDefaults:
-    """An omitted optional key means its documented default, and every value
-    the schema admits is one the dataclasses accept."""
+    """An omitted optional key means its documented default, and every enum
+    value and every bound's edge builds a cell."""
 
     @pytest.mark.parametrize("model", ["M1", "M2"])
     @pytest.mark.parametrize("partial", [
@@ -257,25 +261,6 @@ class TestConfigDefaults:
                 run_cell(full, variant, 0)
             ), variant
 
-    @staticmethod
-    def _enum_paths(node, path=()):
-        """Schema path (without properties/items steps) of every enum."""
-        if isinstance(node, dict):
-            if "enum" in node:
-                yield "/".join(path)
-            for key, child in node.items():
-                step = () if key in ("properties", "items") else (key,)
-                yield from TestConfigDefaults._enum_paths(child, path + step)
-        elif isinstance(node, list):
-            for child in node:
-                yield from TestConfigDefaults._enum_paths(child, path)
-
-    def test_every_schema_enum_is_covered(self):
-        assert set(self._enum_paths(harness.CONFIG_SCHEMA)) == {
-            "model", "instance/generate/noise", "instance/inline/noise",
-            "adversary/strategy", "adversary/corrupt_stage", "baselines",
-        }
-
     @pytest.mark.parametrize("config,variant", [
         pytest.param(config, variant, id=name)
         for name, config, variant in enum_cases() + bound_cases()
@@ -286,9 +271,8 @@ class TestConfigDefaults:
 
 
 class TestBadInstanceSource:
-    """An instance source that passes the schema but cannot be built is a
-    config error: not even the output directory is made, and the CLI exits
-    with 2."""
+    """An instance source that cannot be built is a config error: not even
+    the output directory is made, and the CLI exits with 2."""
 
     CASES = {
         "theta-norm": {"inline": {"theta_star": [1.0, 1.0],
@@ -340,6 +324,229 @@ class TestBadInstanceSource:
         assert rc == 2
         assert "instance/file" in capsys.readouterr().err
         assert not out.exists()
+
+
+DELETE = object()
+INLINE = {"theta_star": [0.6, 0.0],
+          "actions": {"dim": 2, "actions": [[1.0, 0.0], [0.0, 1.0]]}}
+
+
+def edited(path: str, value, **overrides) -> dict:
+    """small_config(**overrides) with the field at `path` set to `value`,
+    or removed when `value` is DELETE."""
+    config = json.loads(json.dumps(small_config(**overrides)))
+    *parents, last = path.split("/")
+    node = config
+    for key in parents:
+        node = node.setdefault(key, {})
+    if value is DELETE:
+        del node[last]
+    else:
+        node[last] = value
+    return config
+
+
+def row(path: str, value, **overrides):
+    label = "missing" if value is DELETE else json.dumps(value)
+    return pytest.param(edited(path, value, **overrides), id=f"{path}={label}")
+
+
+def inline_row(path: str, value):
+    return row(f"instance/inline/{path}", value, instance={"inline": INLINE})
+
+
+NAN = float("nan")
+
+# One row per rule that rejects a config.  The rows marked "new" used to
+# pass validation, before config integers stopped admitting 2.0, instance
+# JSON got one strict builder, and NaN stopped passing the positivity and
+# range checks; each then ran, or failed every cell, or raised TypeError.
+MALFORMED = [
+    # Required keys.
+    *[row(key, DELETE) for key in
+      ("version", "instance", "schedule", "model", "threshold",
+       "schedule/horizon", "threshold/delta",
+       "instance/generate/dim", "instance/generate/num_actions", "instance/generate/seed")],
+    *[inline_row(key, DELETE) for key in
+      ("theta_star", "actions", "actions/dim", "actions/actions")],
+    # An unknown key at every level.
+    *[row(f"{section}extra", 1) for section in
+      ("", "instance/", "instance/generate/", "schedule/", "adversary/", "privacy/",
+       "threshold/")],
+    inline_row("extra", 1),
+    inline_row("actions/extra", 1),
+    # A wrong JSON type per field: bool for a number, 2.0 for an integer.
+    row("version", "1"), row("version", True),
+    row("instance", "x"), row("instance", {"file": 5}),
+    row("instance", {"inline": []}), row("instance", {"generate": []}),
+    row("instance/generate/dim", 2.0),  # new
+    row("instance/generate/dim", "2"), row("instance/generate/dim", True),
+    row("instance/generate/num_actions", 6.0),  # new
+    row("instance/generate/seed", 3.0),  # new
+    row("instance/generate/seed", True),
+    row("instance/generate/noise", 5),
+    row("instance/generate/theta_norm", "1"), row("instance/generate/theta_norm", True),
+    inline_row("theta_star", "x"), inline_row("theta_star", ["0.6", 0.0]),
+    inline_row("theta_star", [True, 0.0]),
+    inline_row("actions", []), inline_row("actions/dim", "2"),
+    inline_row("actions/dim", 2.0),  # new
+    inline_row("actions/dim", True), inline_row("actions/actions", "x"),
+    inline_row("actions/actions", [["1", 0]]),  # new
+    inline_row("actions/actions", [[True, 0.0]]),  # new
+    inline_row("noise", 5),
+    row("schedule", []),
+    row("schedule/horizon", 2e2),  # new
+    row("schedule/horizon", "200"), row("schedule/horizon", True),
+    row("schedule/num_rounds", 3.0),  # new
+    row("schedule/num_rounds", True),
+    row("model", 1), row("model", ["M1"]),
+    row("adversary", "x"), row("adversary/alpha", True), row("adversary/alpha", "0.1"),
+    row("adversary/strategy", 1), row("adversary/magnitude", True),
+    row("adversary/corrupt_stage", 0), row("adversary/aggregate_corruption", 1),
+    row("adversary/aggregate_corruption", "yes"),
+    row("privacy", True), row("privacy/epsilon", True), row("privacy/epsilon", "1"),
+    row("privacy/enabled", 1), row("privacy/enabled", "true"),
+    row("privacy/clip", True), row("privacy/clip", "1"),
+    row("threshold", "x"), row("threshold/delta", True), row("threshold/delta", "0.05"),
+    row("threshold/alpha", True), row("threshold/c_gamma", True),
+    row("threshold/nu", True), row("threshold/nu", "0.1"),
+    row("seeds", 2.0), row("seeds", [1.0]),  # new
+    row("seeds", True), row("seeds", "2"), row("seeds", [True]),
+    row("master_seed", 0.0),  # new
+    row("master_seed", True), row("master_seed", "0"),
+    row("baselines", "vanilla"),
+    row("checkpoints", [100.0]),  # new
+    row("checkpoints", [True]), row("checkpoints", 100),
+    # Each enum.
+    row("model", "M3"), row("instance/generate/noise", "laplace"),
+    inline_row("noise", "laplace"), row("adversary/strategy", "evil"),
+    row("adversary/corrupt_stage", "mid"), row("baselines", ["robust"]),
+    row("baselines", ["bogus"]),
+    # Each bound.
+    row("version", 2), row("schedule/horizon", 0), row("schedule/horizon", -5),
+    row("schedule/num_rounds", 1),
+    row("adversary/alpha", -0.1), row("adversary/alpha", 0.25),
+    row("adversary/magnitude", -1), row("adversary/magnitude", 100.5),
+    row("privacy", {"enabled": True, "epsilon": 0}), row("privacy/epsilon", 0),
+    row("privacy/epsilon", -1),
+    row("privacy/epsilon", NAN),  # new
+    row("privacy/clip", 0), row("privacy/clip", -1),
+    row("privacy/clip", NAN),  # new
+    row("threshold/delta", 0), row("threshold/delta", 1),
+    row("threshold/delta", NAN),  # new
+    row("threshold/alpha", -0.1), row("threshold/alpha", 0.25),
+    row("threshold/c_gamma", 0),
+    row("threshold/c_gamma", NAN),  # new
+    row("threshold/nu", 0), row("threshold/nu", 1),
+    row("model", "M2"), row("threshold/nu", None, model="M2"),
+    row("instance/generate/dim", 0), row("instance/generate/num_actions", 0),
+    row("instance/generate/theta_norm", 1.5), row("instance/generate/theta_norm", -0.1),
+    row("seeds", 0), row("seeds", []),
+    row("checkpoints", []), row("checkpoints", [-1]), row("checkpoints", [201]),
+    # Repeats.
+    row("seeds", [0, 0]), row("baselines", ["vanilla", "vanilla"]),
+    # An instance with no source or with two.
+    row("instance", {}),
+    pytest.param(small_config(instance={"inline": INLINE, "file": "inst.json"}),
+                 id="instance=two-sources"),
+]
+
+# Edge values that are admitted and run.
+ADMITTED = [
+    row("privacy/clip", None), row("threshold/nu", 0.1, model="M2"),
+    row("threshold/nu", None), row("threshold/nu", 0.5),
+    row("instance/generate/theta_norm", 1), row("privacy", {"enabled": False, "epsilon": 2}),
+    row("checkpoints", [0, 200]), row("seeds", [5]), row("adversary/magnitude", 0),
+    inline_row("noise", "zero"),
+]
+
+
+class TestMalformedConfig:
+    """Every rule that rejects a config raises ConfigInvalid before anything
+    is written, and `run` exits with 2."""
+
+    @pytest.mark.parametrize("config", MALFORMED)
+    def test_run_sweep_refuses_before_writing(self, tmp_path, config):
+        out = tmp_path / "out"
+        with pytest.raises(ConfigInvalid, match="config field"):
+            run_sweep(config, str(out))
+        assert not out.exists()
+
+    @pytest.mark.parametrize("config", MALFORMED)
+    def test_cli_exits_2(self, tmp_path, capsys, config):
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert "error: config field" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("config", ADMITTED)
+    def test_admitted_edges_run(self, tmp_path, config):
+        result = run_sweep(config, str(tmp_path / "out"))
+        assert not result.failures
+        assert len(result.traces) == len(harness._cells_of(config))
+
+    @pytest.mark.parametrize("content", ["", "{", '{"version": 1,}'])
+    def test_unparsable_config_file_exits_2(self, tmp_path, capsys, content):
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(content)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert f"error: cannot read config {cfg_path}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_missing_config_file_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        rc = main(["run", "--config", str(tmp_path / "missing.json"), "--out", str(out),
+                   "--seeds", "2"])
+        assert rc == 2
+        assert "error: cannot read config" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_seed_flag_on_a_non_object_config_exits_2(self, tmp_path, capsys):
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text("[]")
+        rc = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out"),
+                   "--seeds", "2"])
+        assert rc == 2
+        assert "config field <root>" in capsys.readouterr().err
+
+
+class TestOneInstanceValidator:
+    """An instance is checked by the code that builds it, so a `file` source
+    and the same JSON given `inline` get one verdict."""
+
+    DEFECTS = {
+        "typo-key": ("typo_noise", "uniform"),
+        "string-dim": ("actions", {"dim": "2", "actions": INLINE["actions"]["actions"]}),
+        "string-theta": ("theta_star", ["0.6", "0"]),
+    }
+
+    @pytest.mark.parametrize("source", ["file", "inline"])
+    @pytest.mark.parametrize("defect", sorted(DEFECTS))
+    def test_both_sources_exit_2(self, tmp_path, capsys, source, defect):
+        key, value = self.DEFECTS[defect]
+        instance = {**INLINE, key: value}
+        if source == "file":
+            (tmp_path / "inst.json").write_text(json.dumps(instance))
+            instance = "inst.json"
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(small_config(instance={source: instance})))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert f"error: config field instance/{source}:" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("source", ["file", "inline"])
+    def test_well_formed_instance_runs_from_both_sources(self, tmp_path, source):
+        instance = INLINE
+        if source == "file":
+            (tmp_path / "inst.json").write_text(json.dumps(instance))
+            instance = "inst.json"
+        config = small_config(instance={source: instance})
+        result = run_sweep(config, str(tmp_path / "out"), base_dir=str(tmp_path))
+        assert not result.failures
 
 
 class TestRunCell:

@@ -90,6 +90,12 @@ class TestThresholdConfig:
             ThresholdConfig(delta=0.1, model="M2")
         ThresholdConfig(delta=0.1, model="M2", nu=0.01)
 
+    @pytest.mark.parametrize("model", ["M1", "M2"])
+    @pytest.mark.parametrize("nu", [0.0, 1.0, float("nan")])
+    def test_nu_range_holds_under_either_model(self, model, nu):
+        with pytest.raises(ValueError, match=r"^nu must lie in \(0, 1\)"):
+            ThresholdConfig(delta=0.1, nu=nu, model=model)
+
 
 class TestThresholdM1:
     def test_golden_value(self):

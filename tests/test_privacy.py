@@ -48,6 +48,12 @@ def test_params_validation():
     assert p.sensitivity == 2.0
 
 
+@pytest.mark.parametrize("epsilon", [0.0, -1.0, float("nan")])
+def test_epsilon_is_checked_when_disabled(epsilon):
+    with pytest.raises(ValueError, match="^epsilon"):
+        PrivacyParams(enabled=False, epsilon=epsilon)
+
+
 def test_scales():
     p = PrivacyParams(epsilon=1.0, enabled=True)
     assert laplace_scale(p, 1) == 2.0
