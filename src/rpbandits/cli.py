@@ -16,6 +16,7 @@ from .harness import (
     summary_table,
     write_summary_csv,
 )
+from .seeding import INT_LABELS
 
 
 def _parse_seeds(text: str) -> list[int] | int:
@@ -69,7 +70,8 @@ def build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("gen-instance", help="generate and save a random bandit instance")
     gen.add_argument("--dim", type=_number(int, 1), required=True)
     gen.add_argument("--num-actions", type=_number(int, 1), required=True)
-    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("--seed", type=_number(int, INT_LABELS.start, INT_LABELS.stop - 1),
+                     default=0)
     gen.add_argument("--noise", choices=NOISE_KINDS, default="gaussian")
     gen.add_argument("--theta-norm", type=_number(float, 0, 1), default=1.0)
     gen.add_argument("--out", required=True, help="path for the instance JSON")

@@ -176,6 +176,7 @@ def compute_design(actions: ActionSet, tol: float = 0.05) -> Design:
     vecs = actions.vectors
     K = actions.count
 
+    # scipy, not numpy: unit-norm actions tie in rounding, and designs follow LAPACK's first pivot.
     r_mat, piv = scipy.linalg.qr(vecs.T, mode="r", pivoting=True)
     diag = np.abs(np.diag(r_mat))
     if diag.size == 0 or diag[0] <= RANK_TOL:

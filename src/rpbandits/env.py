@@ -35,7 +35,7 @@ import numpy as np
 
 from .design import ActionSet, Coreset, is_int, is_real, json_fields, json_reals
 from .privacy import PrivacyParams, laplace_icdf, laplace_scale
-from .seeding import derive_entropy
+from .seeding import INT_LABEL_BITS, INT_LABELS, derive_entropy
 
 NOISE_KINDS = ("gaussian", "uniform", "zero")
 STRATEGIES = ("none", "constant", "large-positive", "sign-flip", "anti-optimal")
@@ -110,6 +110,9 @@ def generate_instance(
     for name, value in (("dim", dim), ("num_actions", num_actions), ("seed", seed)):
         if not is_int(value):
             raise TypeError(f"{name} must be an integer, got {value!r}")
+    if seed not in INT_LABELS:
+        raise ValueError(f"seed must lie in [-2^{INT_LABEL_BITS - 1}, 2^{INT_LABEL_BITS - 1}), "
+                         f"got {seed}")
     if not (is_real(theta_norm) and 0.0 <= theta_norm <= 1.0):
         raise ValueError("theta_norm must be a number in [0, 1]")
     rng = np.random.default_rng(np.random.SeedSequence(derive_entropy("instance", seed)))

@@ -27,9 +27,10 @@ class TooManyRemoved(BanditError):
 
 
 class ConfigInvalid(BanditError, ValueError):
-    """An experiment config cannot be run: it cannot be read as JSON, its
-    shape or a sweep rule fails CONFIG_SCHEMA, or an object it builds (a
-    section dataclass or the instance) rejects a value."""
+    """An experiment config cannot be run: it cannot be read as JSON, a key
+    or a JSON type is wrong (a section's keys and types are its dataclass's
+    fields), a sweep rule fails, or an object it builds (a section dataclass
+    or the instance) rejects a value."""
 
 
 class CheckpointOutOfRange(BanditError, ValueError):

@@ -12,12 +12,12 @@ import hashlib
 import json
 import os
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from typing import get_args
 
-import jsonschema
 import numpy as np
 
-from .design import is_int
+from .design import is_int, is_real, json_fields
 from .env import (
     AdversaryConfig,
     BanditInstance,
@@ -36,83 +36,72 @@ from .policy import (
     run_vanilla_elimination,
 )
 from .privacy import PrivacyParams
-from .seeding import rng_from, seed_sequence
+from .seeding import INT_LABEL_BITS, INT_LABELS, rng_from, seed_sequence
 
 CONFIG_VERSION = 1
 VARIANTS = ("robust", "vanilla", "non-private", "non-robust")
 PLOTDATA_HEADER = "variant,seed,plays,cumulative_regret"
 
 
-def _object(required: tuple = (), **types: str | list) -> dict:
-    """Schema of a JSON object with these fields of these JSON types and no other."""
-    return {"type": "object", "additionalProperties": False, "required": list(required),
-            "properties": {name: {"type": kind} for name, kind in types.items()}}
+# A config's keys and their JSON types (version 1.0 counts as 1), the keys
+# it must give, and its instance sources.  A section's keys and types are
+# its dataclass's fields (see _section), and each range is checked by the
+# object its value builds, so no key, type or range is written twice.
+CONFIG_KEYS = {"version": float, "instance": dict, "schedule": dict, "model": str,
+               "threshold": dict, "adversary": dict, "privacy": dict, "seeds": int | list,
+               "master_seed": int, "baselines": list, "checkpoints": list}
+REQUIRED_KEYS = ("version", "instance", "schedule", "model", "threshold")
+INSTANCE_SOURCES = {"file": str, "inline": dict, "generate": dict}
+_TYPE_NAMES = {int: "an integer", float: "a number", bool: "a boolean", str: "a string",
+               list: "an array", dict: "an object", type(None): "null"}
+_SEEDS = f"integers in [-2^{INT_LABEL_BITS - 1}, 2^{INT_LABEL_BITS - 1})"
 
 
-# The shape of a config: its keys and their JSON types, and the rules of
-# the sweep itself.  Each value's range is checked by the object it builds
-# (see _sections and resolve_instance), so no range is written here twice.
-CONFIG_SCHEMA = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["version", "instance", "schedule", "model", "threshold"],
-    "properties": {
-        "version": {"const": CONFIG_VERSION},
-        "instance": {
-            **_object(file="string", inline="object", generate="object"),
-            "minProperties": 1,
-            "maxProperties": 1,
-        },
-        "schedule": _object(("horizon",), horizon="integer", num_rounds="integer"),
-        "model": {"type": "string"},
-        "adversary": _object(alpha="number", strategy="string", magnitude="number",
-                             corrupt_stage="string", aggregate_corruption="boolean"),
-        "privacy": _object(epsilon="number", enabled="boolean", clip=["number", "null"]),
-        "threshold": _object(("delta",), delta="number", alpha="number", c_gamma="number",
-                             nu=["number", "null"]),
-        "seeds": {
-            "oneOf": [
-                {"type": "integer", "minimum": 1},
-                {"type": "array", "items": {"type": "integer"}, "minItems": 1,
-                 "uniqueItems": True},
-            ]
-        },
-        "master_seed": {"type": "integer"},
-        "baselines": {
-            "type": "array",
-            "items": {"enum": list(VARIANTS[1:])},
-            "uniqueItems": True,
-        },
-        "checkpoints": {
-            "type": "array",
-            "items": {"type": "integer", "minimum": 0},
-            "minItems": 1,
-        },
-    },
-}
+def _invalid(path: str, message: str) -> ConfigInvalid:
+    return ConfigInvalid(f"config field {path or '<root>'}: {message}")
 
-# JSON Schema counts 2.0 as an integer; a config integer is a JSON integer.
-_Validator = jsonschema.validators.extend(
-    jsonschema.Draft202012Validator,
-    type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine(
-        "integer", lambda _checker, value: is_int(value)),
-)
+
+def _check_object(path: str, data, kinds: dict, required: tuple = ()) -> None:
+    """Raise ConfigInvalid unless `data` is a JSON object with every required
+    key and no key outside `kinds`, each value of its annotation's JSON type
+    (`X | None` is X or null; a bool is no number and 2.0 no integer)."""
+    try:
+        json_fields(data, required, tuple(kinds))
+    except (TypeError, ValueError) as exc:
+        raise _invalid(path, str(exc)) from exc
+    for key, value in data.items():
+        options = get_args(kinds[key]) or (kinds[key],)
+        if not any(is_int(value) if kind is int else is_real(value) if kind is float
+                   else isinstance(value, kind) for kind in options):
+            raise _invalid(f"{path}/{key}".lstrip("/"), f"{value!r} is not "
+                           + " or ".join(_TYPE_NAMES[kind] for kind in options))
 
 
 def validate_config(config: dict) -> None:
-    """Check a config's shape against CONFIG_SCHEMA and build its sections;
-    raises ConfigInvalid with a field path."""
-    errors = sorted(_Validator(CONFIG_SCHEMA).iter_errors(config),
-                    key=lambda e: list(e.absolute_path))
-    if errors:
-        err = errors[0]
-        path = "/".join(str(p) for p in err.absolute_path) or "<root>"
-        raise ConfigInvalid(f"config field {path}: {err.message}")
+    """Check a config's keys, their JSON types and the sweep's own rules, and
+    build its sections; raises ConfigInvalid with a field path."""
+    _check_object("", config, CONFIG_KEYS, REQUIRED_KEYS)
+    if config["version"] != CONFIG_VERSION:
+        raise _invalid("version", f"need {CONFIG_VERSION}, got {config['version']!r}")
+    _check_object("instance", config["instance"], INSTANCE_SOURCES)
+    if len(config["instance"]) != 1:
+        raise _invalid("instance", f"need exactly one of {', '.join(INSTANCE_SOURCES)}")
+    seeds = config.get("seeds", 8)
+    if not (seeds >= 1 if is_int(seeds) else all(is_int(s) and s in INT_LABELS for s in seeds)
+            and 0 < len(set(seeds)) == len(seeds)):
+        raise _invalid("seeds", f"need a count >= 1 or distinct {_SEEDS}, got {seeds!r}")
+    if config.get("master_seed", 0) not in INT_LABELS:
+        raise _invalid("master_seed", f"need one of the {_SEEDS}, got {config['master_seed']!r}")
+    baselines = config.get("baselines", [])
+    if not (all(b in VARIANTS[1:] for b in baselines) and len(set(baselines)) == len(baselines)):
+        raise _invalid("baselines", f"need distinct variants of {VARIANTS[1:]}, got {baselines!r}")
+    checkpoints = config.get("checkpoints", [0])
+    if not (checkpoints and all(is_int(c) and c >= 0 for c in checkpoints)):
+        raise _invalid("checkpoints", f"need play counts >= 0, got {checkpoints!r}")
     horizon = _sections(config)[0].horizon
-    late = [c for c in config.get("checkpoints", []) if c > horizon]
+    late = [c for c in checkpoints if c > horizon]
     if late:
-        raise ConfigInvalid(f"config field checkpoints: {late[0]} is past the horizon {horizon}")
+        raise _invalid("checkpoints", f"{late[0]} is past the horizon {horizon}")
 
 
 def config_hash(config: dict) -> str:
@@ -147,6 +136,15 @@ def _cells_of(config: dict) -> list[tuple[str, int]]:
     return [(v, s) for v in _variants_of(config) for s in _seeds_of(config)]
 
 
+def _section(config: dict, name: str, cls, required: tuple = (), linked=()) -> dict:
+    """config[name] ({} when absent), checked to hold every `required` key and
+    no key but cls's fields other than `linked`, each of its field's type."""
+    values = config.get(name, {})
+    _check_object(name, values, {f.name: f.type for f in fields(cls) if f.name not in linked},
+                  required)
+    return values
+
+
 def _build(cls, section: str, values: dict, **linked):
     """cls(**values, **linked).  Each dataclass message starts with the field
     it rejects, so a rejected value raises ConfigInvalid with its path;
@@ -155,24 +153,26 @@ def _build(cls, section: str, values: dict, **linked):
         return cls(**values, **linked)
     except ValueError as exc:
         field = str(exc).split()[0]
-        path = field if field in linked else f"{section}/{field}"
-        raise ConfigInvalid(f"config field {path}: {exc}") from exc
+        raise _invalid(field if field in linked else f"{section}/{field}", str(exc)) from exc
 
 
 def _sections(config: dict, variant: str = "robust"):
     """The (Schedule, PrivacyParams, ThresholdConfig, AdversaryConfig) of a cell."""
-    sched = config["schedule"]
+    sched = _section(config, "schedule", Schedule, ("horizon",))
     schedule = _build(Schedule, "schedule",
                       {"num_rounds": default_num_rounds(sched["horizon"]), **sched})
-    # Each section's keys are its dataclass's fields, so the dataclass owns
-    # every default but one: a config without a privacy section runs
-    # non-private, while PrivacyParams() is private.
-    privacy = _build(PrivacyParams, "privacy", {"enabled": False, **config.get("privacy", {})})
+    # The dataclasses own every default but one: a config without a privacy
+    # section runs non-private, while PrivacyParams() is private.
+    privacy = _build(PrivacyParams, "privacy",
+                     {"enabled": False, **_section(config, "privacy", PrivacyParams)})
     if variant == "non-private":
         privacy = replace(privacy, enabled=False)
-    threshold = _build(ThresholdConfig, "threshold", config["threshold"], model=config["model"],
-                       epsilon=privacy.epsilon if privacy.enabled else None)
-    adversary = _build(AdversaryConfig, "adversary", config.get("adversary", {}))
+    linked = {"model": config["model"], "epsilon": privacy.epsilon if privacy.enabled else None}
+    threshold = _build(ThresholdConfig, "threshold",
+                       _section(config, "threshold", ThresholdConfig, ("delta",), linked),
+                       **linked)
+    adversary = _build(AdversaryConfig, "adversary",
+                       _section(config, "adversary", AdversaryConfig))
     return schedule, privacy, threshold, adversary
 
 

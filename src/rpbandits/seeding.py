@@ -11,6 +11,12 @@ import hashlib
 
 import numpy as np
 
+# An int label is hashed as a signed big-endian integer of this many bits,
+# so only ints in INT_LABELS can be labels; config seeds are checked
+# against it.
+INT_LABEL_BITS = 128
+INT_LABELS = range(-(1 << (INT_LABEL_BITS - 1)), 1 << (INT_LABEL_BITS - 1))
+
 
 def derive_entropy(*parts: int | str) -> int:
     """Hash a label tuple into a 256-bit integer usable as SeedSequence entropy."""
@@ -20,7 +26,7 @@ def derive_entropy(*parts: int | str) -> int:
             raise TypeError("bool labels are ambiguous; use int or str")
         if isinstance(part, (int, np.integer)):
             h.update(b"i")
-            h.update(int(part).to_bytes(16, "big", signed=True))
+            h.update(int(part).to_bytes(INT_LABEL_BITS // 8, "big", signed=True))
         elif isinstance(part, str):
             h.update(b"s")
             h.update(part.encode("utf-8"))

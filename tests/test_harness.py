@@ -2,8 +2,12 @@
 and the CLI entry points."""
 
 import concurrent.futures
+import dataclasses
 import json
 import os
+import re
+import subprocess
+import sys
 import tracemalloc
 from collections import OrderedDict
 from pathlib import Path
@@ -19,6 +23,7 @@ from rpbandits.env import (
     CORRUPT_STAGES,
     NOISE_KINDS,
     STRATEGIES,
+    AdversaryConfig,
     generate_instance,
     save_instance,
 )
@@ -126,6 +131,47 @@ class TestConfigValidation:
     def test_version_is_pinned(self):
         with pytest.raises(ConfigInvalid, match="version"):
             validate_config(small_config(version=2))
+
+
+class TestSectionKeys:
+    """A section's keys and JSON types are its dataclass's fields, less the
+    ones filled from other keys; no JSON Schema library is loaded."""
+
+    @pytest.mark.parametrize("index,section,linked", [
+        (0, "schedule", ()), (1, "privacy", ()),
+        (2, "threshold", ("model", "epsilon")), (3, "adversary", ()),
+    ])
+    def test_keys_are_the_dataclass_fields(self, index, section, linked):
+        built = harness._sections(small_config(privacy={"enabled": True}))[index]
+        names = {f.name for f in dataclasses.fields(built)}
+        accepted = set()
+        for name in names:
+            config = small_config()
+            config.setdefault(section, {})[name] = getattr(built, name)
+            try:
+                validate_config(config)
+                accepted.add(name)
+            except ConfigInvalid as exc:
+                assert f"config field {section}: {name} is not a known key" in str(exc)
+        assert accepted == names - set(linked)
+
+    def test_a_new_dataclass_field_is_a_key(self, monkeypatch):
+        @dataclasses.dataclass(frozen=True)
+        class Adversary(AdversaryConfig):
+            knob: float | None = None
+
+        monkeypatch.setattr(harness, "AdversaryConfig", Adversary)
+        validate_config(small_config(adversary={"knob": 0.5}))
+        validate_config(small_config(adversary={"knob": None}))
+        with pytest.raises(ConfigInvalid, match="adversary/knob: '0.5' is not a number or null"):
+            validate_config(small_config(adversary={"knob": "0.5"}))
+
+    def test_cli_import_loads_no_jsonschema(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        code = "import sys, rpbandits.cli; print('jsonschema' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+        assert proc.stdout.strip() == "False"
 
 
 class TestConfigHash:
@@ -411,7 +457,7 @@ MALFORMED = [
     row("threshold/alpha", True), row("threshold/c_gamma", True),
     row("threshold/nu", True), row("threshold/nu", "0.1"),
     row("seeds", 2.0), row("seeds", [1.0]),  # new
-    row("seeds", True), row("seeds", "2"), row("seeds", [True]),
+    row("seeds", True), row("seeds", "2"), row("seeds", [True]), row("seeds", [[0]]),
     row("master_seed", 0.0),  # new
     row("master_seed", True), row("master_seed", "0"),
     row("baselines", "vanilla"),
@@ -443,6 +489,10 @@ MALFORMED = [
     row("instance/generate/theta_norm", 1.5), row("instance/generate/theta_norm", -0.1),
     row("seeds", 0), row("seeds", []),
     row("checkpoints", []), row("checkpoints", [-1]), row("checkpoints", [201]),
+    # Seeds are hashed as 128-bit signed integers.
+    row("seeds", [2**127]), row("seeds", [-2**127 - 1]),
+    row("master_seed", 2**127), row("master_seed", -2**127 - 1),
+    row("instance/generate/seed", 2**127), row("instance/generate/seed", -2**127 - 1),
     # Repeats.
     row("seeds", [0, 0]), row("baselines", ["vanilla", "vanilla"]),
     # An instance with no source or with two.
@@ -458,6 +508,9 @@ ADMITTED = [
     row("instance/generate/theta_norm", 1), row("privacy", {"enabled": False, "epsilon": 2}),
     row("checkpoints", [0, 200]), row("seeds", [5]), row("adversary/magnitude", 0),
     inline_row("noise", "zero"),
+    row("seeds", [2**127 - 1]), row("seeds", [-2**127]),
+    row("master_seed", 2**127 - 1), row("master_seed", -2**127),
+    row("instance/generate/seed", 2**127 - 1), row("instance/generate/seed", -2**127),
 ]
 
 
@@ -466,11 +519,21 @@ class TestMalformedConfig:
     is written, and `run` exits with 2."""
 
     @pytest.mark.parametrize("config", MALFORMED)
-    def test_run_sweep_refuses_before_writing(self, tmp_path, config):
+    def test_run_sweep_refuses_before_writing(self, tmp_path, request, config):
         out = tmp_path / "out"
-        with pytest.raises(ConfigInvalid, match="config field"):
+        with pytest.raises(ConfigInvalid, match="config field") as exc:
             run_sweep(config, str(out))
         assert not out.exists()
+        # The field named is on the edited field's branch: the field itself,
+        # an ancestor (<root> is everyone's), or a field inside the edited
+        # value.  The one linked rule names another field.
+        edited_path = request.node.callspec.id.split("=")[0]
+        named = re.match(r"config field (\S+):", str(exc.value)).group(1)
+        if request.node.callspec.id == 'model="M2"':
+            assert named == "threshold/nu"
+        elif named != "<root>":
+            common = min(len(named.split("/")), len(edited_path.split("/")))
+            assert named.split("/")[:common] == edited_path.split("/")[:common], named
 
     @pytest.mark.parametrize("config", MALFORMED)
     def test_cli_exits_2(self, tmp_path, capsys, config):
@@ -1002,6 +1065,8 @@ class TestCli:
         ["--dim", "2", "--num-actions", "5", "--theta-norm", "2"],
         ["--dim", "2", "--num-actions", "5", "--theta-norm", "-0.5"],
         ["--dim", "2", "--num-actions", "5", "--theta-norm", "nan"],
+        ["--dim", "2", "--num-actions", "5", "--seed", str(2**127)],
+        ["--dim", "2", "--num-actions", "5", "--seed", str(-2**127 - 1)],
     ])
     def test_gen_instance_bad_flags_exit_2(self, tmp_path, capsys, flags):
         with pytest.raises(SystemExit) as exc:
