@@ -14,7 +14,7 @@ from types import MappingProxyType
 import numpy as np
 import scipy.linalg
 
-from .errors import FailsToConverge, InvalidNu, OutOfSpan
+from .errors import FailsToConverge, OutOfSpan
 
 # Rank decisions below this relative pivot size treat a direction as
 # numerically absent from the span.
@@ -159,7 +159,7 @@ def _leverages(coords: np.ndarray, gram: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ji->i", coords, sol)
 
 
-def compute_design(actions: ActionSet, tol: float = 0.05) -> Design:
+def compute_design(actions: ActionSet, tol: float) -> Design:
     """Near-optimal design on `actions` with a certified leverage bound.
 
     Runs away-step Frank-Wolfe on log det M(w) inside the span of the action
@@ -254,13 +254,13 @@ def _thin_support(coords: np.ndarray, w: np.ndarray, rank: int, bound: int) -> n
         trial = w.copy()
         trial[j] = 0.0
         trial /= trial.sum()
-        gram = coords.T @ (coords * trial[:, None])
-        evals = np.linalg.eigvalsh(gram)
-        if evals[0] <= RANK_TOL * max(evals[-1], 1e-300):
+        try:
+            leverages = span_leverages(coords, coords.T @ (coords * trial[:, None]))[0]
+        except OutOfSpan as exc:
             raise FailsToConverge(
                 f"cannot thin design support to {bound} without losing rank"
-            )
-        if float(np.max(_leverages(coords, gram))) > 2.0 * rank:
+            ) from exc
+        if float(np.max(leverages)) > 2.0 * rank:
             raise FailsToConverge(
                 f"cannot thin design support to {bound} within the leverage budget"
             )
@@ -304,17 +304,11 @@ def build_coreset(design: Design, budget: int, model: str, nu: float | None = No
     """Round a design into integer play counts.
 
     Per-reward clients (M1) play action a exactly ceil(budget * w(a)) times.
-    Aggregating clients (M2) add a floor: ceil(budget * max(w(a), nu)), which
-    requires 0 < nu < 1 and keeps the total at most
-    support + budget * (1 + support * nu).
+    Aggregating clients (M2) add a floor: ceil(budget * max(w(a), nu)),
+    which keeps the total at most support + budget * (1 + support * nu).
+    The caller's ThresholdConfig holds model to MODELS and, under M2, nu to
+    (0, 1); the policy passes a budget of at least 1.
     """
-    if model not in MODELS:
-        raise ValueError(f"unknown client model {model!r}")
-    if budget < 1:
-        raise ValueError("round budget must be at least 1")
-    if model == "M2":
-        if nu is None or not (0.0 < nu < 1.0):
-            raise InvalidNu(f"nu must lie in (0, 1) under M2, got {nu!r}")
     entries = []
     for idx in sorted(design.weights):
         wgt = design.weights[idx]

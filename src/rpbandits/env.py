@@ -68,6 +68,14 @@ class BanditInstance:
         means.flags.writeable = False
         return means
 
+    @cached_property
+    def regrets(self) -> np.ndarray:
+        """Expected regret <a* - a, theta*> of one play of each action (read-only)."""
+        means = self.mean_rewards
+        regrets = means[self.optimal_index] - means
+        regrets.flags.writeable = False
+        return regrets
+
     @property
     def optimal_index(self) -> int:
         return int(np.argmax(self.mean_rewards))
@@ -283,7 +291,7 @@ def _play(
         acts, n_a, _ = clients_of(c0, c1)
         priv = None
         if privacy.enabled:
-            priv = laplace_icdf(rng.random(c1 - c0), 1.0) * laplace_scale(privacy, n_a)
+            priv = laplace_icdf(rng.random(c1 - c0)) * laplace_scale(privacy, n_a)
         released = _release(values[c0:c1], privacy, priv)
         if adversary.corrupt_stage == "post-privacy":
             released = np.where(corrupted[c0:c1],
@@ -322,57 +330,34 @@ def _release(values: np.ndarray, privacy: PrivacyParams, noise: np.ndarray | Non
     return values if noise is None else values + noise
 
 
-class EnvOracle:
-    """Test- and driver-side view: hidden parameter and gaps."""
-
-    def __init__(self, instance: BanditInstance):
-        self._instance = instance
-        means = instance.mean_rewards
-        # Expected regret <a* - a, theta*> of one play of each action.
-        self._regrets = means[instance.optimal_index] - means
-
-    @property
-    def theta_star(self) -> np.ndarray:
-        return self._instance.theta_star
-
-    @property
-    def optimal_index(self) -> int:
-        return self._instance.optimal_index
-
-    def regret_of(self, action_index: int) -> float:
-        return float(self._regrets[action_index])
-
-
 class LearnerEnv:
     """Capability-restricted handle given to the learner.
 
     The learner sees the action set and, per play_batch call, only the
     reported reward of each client.  Everything else (theta*, corruption
-    flags, raw rewards) stays with the environment; the oracle object gives
-    the experiment driver what it needs for regret accounting.
+    flags, raw rewards) stays with the environment; `oracle` is the instance
+    itself, from which the policy's regret accounting reads the optimal arm
+    and each arm's regret.  Round i's batch draws from `seed` with i
+    appended to its spawn key.
     """
 
     def __init__(
         self,
         instance: BanditInstance,
         adversary: AdversaryConfig,
-        seed: int | np.random.SeedSequence,
+        seed: np.random.SeedSequence,
     ):
         self._instance = instance
         self._adversary = adversary
-        if isinstance(seed, np.random.SeedSequence):
-            self._seed_seq = seed
-        else:
-            self._seed_seq = np.random.SeedSequence(int(seed))
-        self._oracle = EnvOracle(instance)
+        self._seed_seq = seed
 
     @property
     def actions(self) -> ActionSet:
         return self._instance.actions
 
     @property
-    def oracle(self) -> EnvOracle:
-        return self._oracle
+    def oracle(self) -> BanditInstance:
+        return self._instance
 
     def _batch_rng(self, round_index: int) -> np.random.Generator:
         ss = np.random.SeedSequence(

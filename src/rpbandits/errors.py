@@ -9,10 +9,6 @@ class FailsToConverge(BanditError):
     """Design optimization could not certify its target within the iteration cap."""
 
 
-class InvalidNu(BanditError, ValueError):
-    """Coreset floor parameter nu is outside the valid open interval (0, 1)."""
-
-
 class OutOfSpan(BanditError, ValueError):
     """A Gram matrix is numerically zero, or a queried vector has a component
     orthogonal to its span."""

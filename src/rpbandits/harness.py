@@ -11,6 +11,7 @@ import concurrent.futures
 import hashlib
 import json
 import os
+import sys
 import time
 from dataclasses import dataclass, fields, replace
 from typing import get_args
@@ -87,9 +88,12 @@ def validate_config(config: dict) -> None:
     if len(config["instance"]) != 1:
         raise _invalid("instance", f"need exactly one of {', '.join(INSTANCE_SOURCES)}")
     seeds = config.get("seeds", 8)
-    if not (seeds >= 1 if is_int(seeds) else all(is_int(s) and s in INT_LABELS for s in seeds)
+    # A count is a range length, which sys.maxsize bounds.
+    if not (1 <= seeds <= sys.maxsize if is_int(seeds)
+            else all(is_int(s) and s in INT_LABELS for s in seeds)
             and 0 < len(set(seeds)) == len(seeds)):
-        raise _invalid("seeds", f"need a count >= 1 or distinct {_SEEDS}, got {seeds!r}")
+        raise _invalid("seeds", f"need a count in [1, {sys.maxsize}] or distinct {_SEEDS}, "
+                                f"got {seeds!r}")
     if config.get("master_seed", 0) not in INT_LABELS:
         raise _invalid("master_seed", f"need one of the {_SEEDS}, got {config['master_seed']!r}")
     baselines = config.get("baselines", [])
@@ -292,26 +296,28 @@ def run_sweep(
     header = {"kind": "header", "schema": CONFIG_VERSION,
               "config_hash": digest, "config": config}
     completed: set[tuple[str, int]] = set()
+    kept: list[dict] = []
     if os.path.exists(manifest_path):
+        prior = _read_manifest(manifest_path)
         if not resume:
-            prior = _read_manifest(manifest_path)
             if prior["header"] is not None and prior["header"]["config_hash"] != digest:
                 raise ConfigInvalid(
                     "out_dir already holds results for a different config; "
                     "choose a fresh directory"
                 )
         else:
-            prior = _read_manifest(manifest_path)
             if prior["header"] is None or prior["header"]["config_hash"] != digest:
                 raise ConfigInvalid("manifest does not match this config; cannot resume")
+            kept = prior["cells"]
             completed = {
                 (c["variant"], c["seed"])
-                for c in prior["cells"]
+                for c in kept
                 if c["status"] == "ok"
                 and os.path.exists(os.path.join(out_dir, c["path"]))
             }
-    if not os.path.exists(manifest_path) or not resume:
-        _atomic_write(manifest_path, _manifest_line(header))
+    # Written whole before the first append, so that no record is appended
+    # to the torn tail an interrupted append may have left.
+    _atomic_write(manifest_path, b"".join(map(_manifest_line, [header, *kept])))
 
     pending = [c for c in _cells_of(config) if c not in completed]
 
@@ -374,14 +380,27 @@ def _manifest_line(record: dict) -> bytes:
 
 
 def _read_manifest(path: str) -> dict:
+    """Header and cell records of a manifest.
+
+    A final line with no newline is what an interrupted append leaves, and
+    is ignored; any other line that is not a JSON object raises
+    ConfigInvalid naming the file and the line.
+    """
     header = None
     cells = []
-    with open(path) as fh:
-        for line in fh:
+    with open(path, "rb") as fh:
+        for number, line in enumerate(fh, 1):
+            if not line.endswith(b"\n"):
+                break
             line = line.strip()
             if not line:
                 continue
-            rec = json.loads(line)
+            try:
+                rec = json.loads(line)
+            except ValueError:
+                rec = None
+            if not isinstance(rec, dict):
+                raise ConfigInvalid(f"{path} line {number} is not a manifest record")
             if rec.get("kind") == "header":
                 header = rec
             elif rec.get("kind") == "cell":

@@ -115,14 +115,13 @@ def threshold_m2(i: int, schedule: Schedule, cfg: ThresholdConfig, d: int, k: in
     """Elimination width for round i under aggregating clients.
 
     k is the number of distinct actions played in the round (the design
-    support size); the round budget m is taken from the schedule.
+    support size); the round budget m is taken from the schedule.  cfg.nu is
+    set, since ThresholdConfig requires it under M2.
     """
     if i < 1:
         raise ValueError("round index starts at 1")
     if k < 1:
         raise ValueError("support size must be at least 1")
-    if cfg.nu is None:
-        raise ValueError("threshold_m2 requires nu")
     budgets = schedule.round_budgets
     m = budgets[i - 1] if i - 1 < len(budgets) else budgets[-1]
     nu_m = cfg.nu * m
@@ -366,12 +365,12 @@ def _estimate(
     if estimator == "vanilla":
         return vanilla_least_squares(rows, lengths, rewards), None, False
     try:
-        est = robust_least_squares(
+        theta, diag = robust_least_squares(
             rows, lengths, rewards, rng,
             query_actions=active_vectors,
             clean_scale_sq=_clean_scale_sq(privacy, client_counts),
         )
-        return est.theta, est.diagnostics, False
+        return theta, diag, False
     except TooManyRemoved as exc:
         return vanilla_least_squares(rows, lengths, rewards), exc.diagnostics, True
 
@@ -477,7 +476,7 @@ def _run(
             record.estimation_skipped = True
 
         for idx, count in coreset.entries:
-            segments.append((count, oracle.regret_of(idx)))
+            segments.append((count, float(oracle.regrets[idx])))
         used += coreset.total
         record.cumulative_plays = used
         records.append(record)
@@ -500,7 +499,7 @@ def _run(
         cumulative_plays=schedule.horizon,
     )
     if remaining > 0:
-        segments.append((remaining, oracle.regret_of(chosen)))
+        segments.append((remaining, float(oracle.regrets[chosen])))
     records.append(final)
 
     trace = RegretTrace(

@@ -33,20 +33,14 @@ class PrivacyParams:
         return 2.0 * (self.clip if self.clip is not None else 1.0)
 
 
-def laplace_icdf(u: float | np.ndarray, scale: float) -> float | np.ndarray:
-    """Inverse CDF of the zero-mean Laplace distribution with the given scale.
+def laplace_icdf(u: np.ndarray) -> np.ndarray:
+    """Inverse CDF of the zero-mean, unit-scale Laplace distribution, elementwise.
 
-    u = 0.5 maps to 0; u in the upper half maps to -scale*log(2(1-u)).
+    u = 0.5 maps to 0; u in the upper half maps to -log(2(1-u)).  A client's
+    noise is this times its scale (see laplace_scale).
     """
-    if scale < 0:
-        raise ValueError("scale must be nonnegative")
-    u_arr = np.clip(np.asarray(u, dtype=float), 1e-300, 1.0 - 1e-16)
-    out = np.where(
-        u_arr >= 0.5,
-        -scale * np.log(2.0 * (1.0 - u_arr)),
-        scale * np.log(2.0 * u_arr),
-    )
-    return float(out) if np.isscalar(u) or np.asarray(u).ndim == 0 else out
+    u = np.clip(u, 1e-300, 1.0 - 1e-16)
+    return np.where(u >= 0.5, -np.log(2.0 * (1.0 - u)), np.log(2.0 * u))
 
 
 def laplace_scale(params: PrivacyParams, n_a: int | np.ndarray) -> float | np.ndarray:

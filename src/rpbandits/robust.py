@@ -40,12 +40,6 @@ class FilterDiagnostics:
     removed_indices: tuple[int, ...] = ()
 
 
-@dataclass(frozen=True)
-class RobustEstimate:
-    theta: np.ndarray
-    diagnostics: FilterDiagnostics
-
-
 def _top_eigenpair(cov: np.ndarray) -> tuple[float, np.ndarray]:
     """Largest eigenvalue of a symmetric matrix and a unit eigenvector for it.
 
@@ -163,11 +157,7 @@ def spectral_filter(
         # The squared projections on v of run b's points w[i] * c sum to
         # (within[b] @ v)^2 + (between[b] @ v)^2.
         cum = ((within @ v) ** 2 + (between @ v) ** 2).cumsum()
-        total = float(cum[-1])
-        if total <= 0.0:
-            # Cannot happen when mu > 0, but guard the sampling anyway.
-            break
-        u = rng.random() * total
+        u = rng.random() * float(cum[-1])
         b = _search(cum, u)
         lo, hi = starts[b], starts[b] + sizes[b]
         members = lo + alive[lo:hi].nonzero()[0]
@@ -222,9 +212,9 @@ def robust_least_squares(
     lengths: np.ndarray,
     rewards: np.ndarray,
     rng: np.random.Generator,
-    query_actions: np.ndarray | None = None,
-    clean_scale_sq: float = DEFAULT_CLEAN_SCALE_SQ,
-) -> RobustEstimate:
+    query_actions: np.ndarray,
+    clean_scale_sq: float,
+) -> tuple[np.ndarray, FilterDiagnostics]:
     """Filtered least squares over runs of played (action, reward) pairs.
 
     The points M_n^{-1/2} a_i y_i are passed through the spectral filter and
@@ -241,18 +231,18 @@ def robust_least_squares(
     bound) is what lets gross outliers trip the spectral check.  Callers that
     add privacy noise should fold its variance into clean_scale_sq.
 
-    `query_actions` (default: the played rows) is the set whose leverages
-    feed the budget; every queried direction must lie in the span of the
-    played actions, otherwise OutOfSpan is raised.
+    `query_actions` is the set whose leverages feed the budget; every
+    queried direction must lie in the span of the played actions, otherwise
+    OutOfSpan is raised.  Returns (theta, filter diagnostics), and raises
+    TooManyRemoved, carrying the diagnostics, when the filter would remove
+    more than half the points.
     """
     rows, lengths, y, _ = _runs(rows, lengths, rewards)
     if clean_scale_sq <= 0:
         raise ValueError("clean_scale_sq must be positive")
-    queries = rows if query_actions is None else np.asarray(query_actions, dtype=float)
     gram = (rows * lengths[:, None]).T @ rows
-    leverages, basis, inv_sqrt = span_leverages(queries, gram)
+    leverages, basis, inv_sqrt = span_leverages(query_actions, gram)
     lam = float(np.max(leverages)) * clean_scale_sq
 
     w, diag = spectral_filter(y, (rows @ basis) * inv_sqrt, lengths, lam, rng)
-    theta = basis @ (y.size * inv_sqrt * w)
-    return RobustEstimate(theta=theta, diagnostics=diag)
+    return basis @ (y.size * inv_sqrt * w), diag

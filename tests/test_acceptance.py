@@ -30,7 +30,12 @@ from rpbandits.policy import (
     run_vanilla_elimination,
 )
 from rpbandits.privacy import PrivacyParams, laplace_scale
-from rpbandits.robust import robust_least_squares, spectral_filter, vanilla_least_squares
+from rpbandits.robust import (
+    DEFAULT_CLEAN_SCALE_SQ,
+    robust_least_squares,
+    spectral_filter,
+    vanilla_least_squares,
+)
 from rpbandits.seeding import rng_from, seed_sequence
 
 NO_PRIVACY = PrivacyParams(enabled=False)
@@ -74,10 +79,11 @@ def test_criterion_02_clean_filter_equivalence():
         y = A @ theta + rng.normal(size=n)
         # Every observation is its own run of length 1.
         ones = np.ones(n, dtype=int)
-        est = robust_least_squares(A, ones, y, np.random.default_rng(trial))
-        diff = est.theta - vanilla_least_squares(A, ones, y)
+        est, diag = robust_least_squares(A, ones, y, np.random.default_rng(trial),
+                                         A, DEFAULT_CLEAN_SCALE_SQ)
+        diff = est - vanilla_least_squares(A, ones, y)
         assert float(np.sqrt(diff @ (A.T @ A) @ diff)) <= 1e-8
-        assert est.diagnostics.removed_count == 0
+        assert diag.removed_count == 0
 
     pts = np.random.default_rng(99).normal(size=(400, 3))
     mean, diag = spectral_filter(np.ones(400), pts, np.ones(400, dtype=int), 10.0,
@@ -103,10 +109,11 @@ def test_criterion_03_robust_estimation_under_contamination():
         r = np.random.default_rng((0, seed, 77))
         y = clean + r.normal(0, 1, n)
         y = np.where(r.random(n) < 0.1, 50.0, y)
-        est = robust_least_squares(
-            rows, lengths, y, np.random.default_rng((0, seed, 88)), query_actions=vecs
+        est, _ = robust_least_squares(
+            rows, lengths, y, np.random.default_rng((0, seed, 88)),
+            query_actions=vecs, clean_scale_sq=DEFAULT_CLEAN_SCALE_SQ,
         )
-        robust_err.append(float(np.linalg.norm(est.theta - inst.theta_star)))
+        robust_err.append(float(np.linalg.norm(est - inst.theta_star)))
         vanilla_err.append(
             float(np.linalg.norm(vanilla_least_squares(rows, lengths, y) - inst.theta_star))
         )

@@ -15,7 +15,6 @@ from rpbandits.env import (
     PLAY_CHUNK,
     AdversaryConfig,
     BanditInstance,
-    EnvOracle,
     LearnerEnv,
     generate_instance,
     load_instance,
@@ -103,22 +102,23 @@ class TestBanditInstance:
 class TestRegretOracle:
     def test_optimal_arm_has_zero_regret(self):
         inst = basis_instance([0.7, 0.2])
-        assert EnvOracle(inst).regret_of(0) == 0.0
-        assert EnvOracle(inst).regret_of(1) == pytest.approx(0.5)
+        assert inst.regrets[0] == 0.0
+        assert inst.regrets[1] == pytest.approx(0.5)
 
     def test_matches_brute_force_gaps(self):
         inst = generate_instance(dim=4, num_actions=25, seed=9)
         means = inst.actions.vectors @ inst.theta_star
         best = means.max()
         for i in range(25):
-            assert EnvOracle(inst).regret_of(i) == pytest.approx(best - means[i], abs=1e-12)
+            assert inst.regrets[i] == pytest.approx(best - means[i], abs=1e-12)
 
     def test_oracle_exposes_hidden_state(self):
         inst = basis_instance([0.4, 0.1, -0.2])
-        oracle = EnvOracle(inst)
+        oracle = LearnerEnv(inst, NO_ADVERSARY, np.random.SeedSequence(0)).oracle
         np.testing.assert_array_equal(oracle.theta_star, inst.theta_star)
         assert oracle.optimal_index == 0
-        assert oracle.regret_of(2) == pytest.approx(0.6)
+        assert oracle.regrets[2] == pytest.approx(0.6)
+        assert not oracle.regrets.flags.writeable
 
 
 class TestAdversaryConfig:
@@ -294,7 +294,7 @@ class TestPerRewardPrivacyStages:
 
         rng = np.random.default_rng(9)
         mask = rng.random(60) >= 0.8
-        noise = laplace_icdf(rng.random(60), laplace_scale(priv, 1))
+        noise = laplace_icdf(rng.random(60)) * laplace_scale(priv, 1)
         means = np.repeat([0.9, -0.3], 30)
         expected = np.where(mask, 7.0, means) + noise
         np.testing.assert_array_equal(reported, expected)
@@ -431,7 +431,7 @@ class TestAggregatingClients:
         priv = PrivacyParams(epsilon=0.5)
         reported = observe_batch(inst, cs, NO_ADVERSARY, priv, np.random.default_rng(19))[3]
 
-        unit = laplace_icdf(np.random.default_rng(19).random(2), 1.0)
+        unit = laplace_icdf(np.random.default_rng(19).random(2))
         expected = np.array([0.9, 0.0]) + unit * np.array(
             [laplace_scale(priv, 100), laplace_scale(priv, 400)]
         )
@@ -442,7 +442,7 @@ class TestAggregatingClients:
 class TestLearnerEnv:
     def test_capability_split(self):
         inst = generate_instance(dim=3, num_actions=10, seed=2)
-        env = LearnerEnv(inst, NO_ADVERSARY, seed=5)
+        env = LearnerEnv(inst, NO_ADVERSARY, seed=np.random.SeedSequence(5))
         assert not hasattr(env, "theta_star")
         assert not hasattr(env, "optimal_index")
         np.testing.assert_array_equal(env.actions.vectors, inst.actions.vectors)
@@ -452,7 +452,7 @@ class TestLearnerEnv:
         inst = basis_instance([0.8, 0.1], noise="gaussian")
         adv = AdversaryConfig(alpha=0.1, strategy="constant")
         cs = m1_coreset([(0, 4), (1, 3)])
-        env = LearnerEnv(inst, adv, seed=7)
+        env = LearnerEnv(inst, adv, seed=np.random.SeedSequence(7))
         reports = env.play_batch(cs, round_index=0, privacy=NO_PRIVACY)
         assert reports.shape == (7,) and reports.dtype == np.float64
         ss = np.random.SeedSequence(entropy=7, spawn_key=(0,))
@@ -463,7 +463,7 @@ class TestLearnerEnv:
         inst = basis_instance([0.8, 0.1], noise="gaussian")
         adv = AdversaryConfig(alpha=0.1, strategy="sign-flip")
         cs = m1_coreset([(0, 20), (1, 20)])
-        env = LearnerEnv(inst, adv, seed=13)
+        env = LearnerEnv(inst, adv, seed=np.random.SeedSequence(13))
         reports = env.play_batch(cs, round_index=3, privacy=NO_PRIVACY)
 
         ss = np.random.SeedSequence(entropy=13, spawn_key=(3,))
@@ -472,7 +472,7 @@ class TestLearnerEnv:
 
     def test_rounds_use_distinct_streams(self):
         inst = basis_instance([0.8, 0.1], noise="gaussian")
-        env = LearnerEnv(inst, NO_ADVERSARY, seed=4)
+        env = LearnerEnv(inst, NO_ADVERSARY, seed=np.random.SeedSequence(4))
         cs = m1_coreset([(0, 10)])
         a = env.play_batch(cs, round_index=0, privacy=NO_PRIVACY)
         b = env.play_batch(cs, round_index=1, privacy=NO_PRIVACY)
@@ -484,24 +484,24 @@ class TestLearnerEnv:
         cs = m1_coreset([(0, 8), (4, 8), (9, 8)])
         histories = []
         for _ in range(2):
-            env = LearnerEnv(inst, adv, seed=99)
+            env = LearnerEnv(inst, adv, seed=np.random.SeedSequence(99))
             histories.append(
                 [env.play_batch(cs, round_index=r, privacy=NO_PRIVACY) for r in range(3)]
             )
         np.testing.assert_array_equal(histories[0], histories[1])
 
     def test_seed_sequence_accepted(self):
+        # Round i draws from the seed with i appended to its spawn key.
         inst = basis_instance([0.8, 0.1], noise="gaussian")
         cs = m1_coreset([(0, 5)])
-        by_int = LearnerEnv(inst, NO_ADVERSARY, seed=21)
-        by_seq = LearnerEnv(inst, NO_ADVERSARY, seed=np.random.SeedSequence(21))
-        np.testing.assert_array_equal(
-            by_int.play_batch(cs, 0, NO_PRIVACY), by_seq.play_batch(cs, 0, NO_PRIVACY)
-        )
+        env = LearnerEnv(inst, NO_ADVERSARY, seed=np.random.SeedSequence(21).spawn(2)[1])
+        ss = np.random.SeedSequence(entropy=21, spawn_key=(1, 0))
+        direct = observe_batch(inst, cs, NO_ADVERSARY, NO_PRIVACY, np.random.default_rng(ss))
+        np.testing.assert_array_equal(env.play_batch(cs, 0, NO_PRIVACY), direct[3])
 
     def test_m2_coreset_dispatches_to_aggregation(self):
         inst = basis_instance([0.8, 0.1, -0.5], noise="gaussian")
-        env = LearnerEnv(inst, NO_ADVERSARY, seed=2)
+        env = LearnerEnv(inst, NO_ADVERSARY, seed=np.random.SeedSequence(2))
         cs = m2_coreset([(0, 6), (1, 6), (2, 6)])
         reports = env.play_batch(cs, 0, NO_PRIVACY)
         assert reports.shape == (3,)

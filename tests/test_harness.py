@@ -488,6 +488,7 @@ MALFORMED = [
     row("instance/generate/dim", 0), row("instance/generate/num_actions", 0),
     row("instance/generate/theta_norm", 1.5), row("instance/generate/theta_norm", -0.1),
     row("seeds", 0), row("seeds", []),
+    row("seeds", 2**63),  # a count past sys.maxsize is no range length
     row("checkpoints", []), row("checkpoints", [-1]), row("checkpoints", [201]),
     # Seeds are hashed as 128-bit signed integers.
     row("seeds", [2**127]), row("seeds", [-2**127 - 1]),
@@ -792,6 +793,39 @@ class TestRunSweep:
             run_sweep(other, out)
         with pytest.raises(ConfigInvalid, match="resume"):
             run_sweep(other, out, resume=True)
+
+    def test_resume_over_a_torn_manifest_tail(self, tmp_path):
+        # An interrupted append leaves a last line with no newline.  Resume
+        # ignores it and does not append onto it, and summarize ignores it.
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(small_config()))
+        fresh, torn = tmp_path / "fresh", tmp_path / "torn"
+        for out in (fresh, torn):
+            assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+        with open(torn / "manifest.json", "a") as fh:
+            fh.write('{"kind":"cell","variant":"rob')
+        assert main(["summarize", "--out", str(torn)]) == 0
+        (torn / "traces" / "vanilla_1.json").unlink()
+        assert main(["run", "--config", str(cfg_path), "--out", str(torn), "--resume"]) == 0
+        for rel in ("manifest.json", "traces/vanilla_1.json", "summary.csv"):
+            assert (torn / rel).read_bytes() == (fresh / rel).read_bytes(), rel
+
+    def test_garbage_manifest_line_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "s"
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(small_config()))
+        run_sweep(small_config(), str(out))
+        manifest = out / "manifest.json"
+        lines = manifest.read_bytes().splitlines(keepends=True)
+        for garbage in (b"not json\n", b"\xff\xfe\n"):
+            manifest.write_bytes(b"".join([*lines[:2], garbage, *lines[2:]]))
+            files = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+            for argv in (["summarize", "--out", str(out)],
+                         ["run", "--config", str(cfg_path), "--out", str(out), "--resume"]):
+                assert main(argv) == 2
+                err = capsys.readouterr().err
+                assert f"error: {manifest} line 3 is not a manifest record" in err
+                assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == files
 
     def test_parallel_matches_sequential(self, tmp_path):
         config = small_config()

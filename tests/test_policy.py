@@ -172,8 +172,6 @@ class TestThresholdM2:
             threshold_m2(0, sched, cfg, d=2, k=3)
         with pytest.raises(ValueError):
             threshold_m2(1, sched, cfg, d=2, k=0)
-        with pytest.raises(ValueError):
-            threshold_m2(1, sched, ThresholdConfig(delta=0.1), d=2, k=3)
 
 
 def make_trace():
@@ -414,7 +412,7 @@ class TestEliminationRun:
             theta_star=np.array([0.7, 0.0]),
             actions=ActionSet(np.array([[1.0, 0.0]])),
         )
-        env = LearnerEnv(inst, CLEAN, seed=1)
+        env = LearnerEnv(inst, CLEAN, seed=np.random.SeedSequence(1))
         trace = run_elimination(
             env, Schedule(horizon=500, num_rounds=4),
             ThresholdConfig(delta=0.05), NO_PRIVACY, rng=rng_from("policy-filter", 1),
@@ -434,7 +432,7 @@ class TestEliminationRun:
         inst = BanditInstance(
             theta_star=np.array([0.9, 0.1]), actions=ActionSet(np.eye(2)), noise="zero"
         )
-        env = LearnerEnv(inst, CLEAN, seed=2)
+        env = LearnerEnv(inst, CLEAN, seed=np.random.SeedSequence(2))
         trace = run_elimination(
             env, Schedule(horizon=100, num_rounds=2),
             ThresholdConfig(delta=0.05, c_gamma=1e-9), NO_PRIVACY,
@@ -451,7 +449,7 @@ class TestEliminationRun:
 
     def test_invariants_on_generated_instance(self):
         inst = generate_instance(dim=3, num_actions=15, seed=5)
-        env = LearnerEnv(inst, CLEAN, seed=5)
+        env = LearnerEnv(inst, CLEAN, seed=np.random.SeedSequence(5))
         trace = run_elimination(
             env, Schedule(horizon=3000, num_rounds=5),
             ThresholdConfig(delta=0.05), NO_PRIVACY, rng=rng_from("policy-filter", 5),
@@ -469,7 +467,7 @@ class TestEliminationRun:
 
     def test_recorded_rule_reproduces_survivors(self):
         inst = generate_instance(dim=4, num_actions=20, seed=8)
-        env = LearnerEnv(inst, CLEAN, seed=8)
+        env = LearnerEnv(inst, CLEAN, seed=np.random.SeedSequence(8))
         trace = run_elimination(
             env, Schedule(horizon=4000, num_rounds=5),
             ThresholdConfig(delta=0.05), NO_PRIVACY, rng=rng_from("policy-filter", 8),
@@ -494,11 +492,11 @@ class TestEliminationRun:
         sched = Schedule(horizon=2000, num_rounds=4)
         cfg = ThresholdConfig(delta=0.05)
         robust = run_elimination(
-            LearnerEnv(inst, CLEAN, seed=11), sched, cfg, NO_PRIVACY,
+            LearnerEnv(inst, CLEAN, seed=np.random.SeedSequence(11)), sched, cfg, NO_PRIVACY,
             rng=rng_from("policy-filter", 11),
         )
         vanilla = run_vanilla_elimination(
-            LearnerEnv(inst, CLEAN, seed=11), sched, cfg, NO_PRIVACY,
+            LearnerEnv(inst, CLEAN, seed=np.random.SeedSequence(11)), sched, cfg, NO_PRIVACY,
             rng=rng_from("policy-filter", 11),
         )
         assert robust.segments == vanilla.segments
@@ -516,15 +514,15 @@ class TestEliminationRun:
         cfg = ThresholdConfig(delta=0.05, alpha=0.1)
         adv = AdversaryConfig(alpha=0.1, strategy="constant", magnitude=20.0)
         vanilla = run_vanilla_elimination(
-            LearnerEnv(inst, adv, seed=14), sched, cfg, NO_PRIVACY,
+            LearnerEnv(inst, adv, seed=np.random.SeedSequence(14)), sched, cfg, NO_PRIVACY,
             rng=rng_from("policy-filter", 14),
         )
         nonrobust = run_nonrobust_elimination(
-            LearnerEnv(inst, adv, seed=14), sched, cfg, NO_PRIVACY,
+            LearnerEnv(inst, adv, seed=np.random.SeedSequence(14)), sched, cfg, NO_PRIVACY,
             rng=rng_from("policy-filter", 14),
         )
         robust = run_elimination(
-            LearnerEnv(inst, adv, seed=14), sched, cfg, NO_PRIVACY,
+            LearnerEnv(inst, adv, seed=np.random.SeedSequence(14)), sched, cfg, NO_PRIVACY,
             rng=rng_from("policy-filter", 14),
         )
         assert vanilla.rounds[0].gamma < nonrobust.rounds[0].gamma
@@ -540,14 +538,15 @@ class TestEliminationRun:
         cfg = ThresholdConfig(delta=0.05, alpha=0.15)
         dumps = []
         for _ in range(2):
-            env = LearnerEnv(inst, adv, seed=33)
+            env = LearnerEnv(inst, adv, seed=np.random.SeedSequence(33))
             trace = run_elimination(env, sched, cfg, NO_PRIVACY, rng=rng_from("policy-filter", 33))
             dumps.append(json.dumps(trace.to_json_dict(), sort_keys=True))
         assert dumps[0] == dumps[1]
 
     def test_run_trace_survives_json_round_trip(self):
         inst = generate_instance(dim=3, num_actions=10, seed=2)
-        env = LearnerEnv(inst, AdversaryConfig(alpha=0.1, strategy="sign-flip"), seed=2)
+        env = LearnerEnv(inst, AdversaryConfig(alpha=0.1, strategy="sign-flip"),
+                         seed=np.random.SeedSequence(2))
         trace = run_elimination(
             env, Schedule(horizon=800, num_rounds=3),
             ThresholdConfig(delta=0.05, alpha=0.1), NO_PRIVACY, rng=rng_from("policy-filter", 2),
@@ -568,7 +567,7 @@ class TestEliminationRun:
 
         monkeypatch.setattr(policy_module, "robust_least_squares", explode)
         inst = generate_instance(dim=3, num_actions=10, seed=6)
-        env = LearnerEnv(inst, CLEAN, seed=6)
+        env = LearnerEnv(inst, CLEAN, seed=np.random.SeedSequence(6))
         trace = run_elimination(
             env, Schedule(horizon=500, num_rounds=3),
             ThresholdConfig(delta=0.05), NO_PRIVACY, rng=rng_from("policy-filter", 6),
@@ -589,7 +588,7 @@ class TestEliminationRun:
             theta_star=np.array([0.9, 0.3, 0.1]), actions=ActionSet(np.eye(3)),
             noise="zero",
         )
-        env = LearnerEnv(inst, CLEAN, seed=3)
+        env = LearnerEnv(inst, CLEAN, seed=np.random.SeedSequence(3))
         trace = run_elimination(
             env, Schedule(horizon=5, num_rounds=3),
             ThresholdConfig(delta=0.1, c_gamma=100.0), NO_PRIVACY,
@@ -636,7 +635,7 @@ class TestFitCoresetToBudget:
 
         monkeypatch.setattr(policy_module, "_fit_coreset_to_budget", spy)
         trace = run_elimination(
-            LearnerEnv(generate_instance(2, 3, 0), CLEAN, seed=0),
+            LearnerEnv(generate_instance(2, 3, 0), CLEAN, seed=np.random.SeedSequence(0)),
             Schedule(horizon=5, num_rounds=3), ThresholdConfig(delta=0.05),
             NO_PRIVACY, rng=rng_from("policy-filter", 0),
         )

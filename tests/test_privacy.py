@@ -71,20 +71,20 @@ def test_scales():
 
 
 def test_icdf_median_is_zero():
-    assert laplace_icdf(0.5, 1.0) == 0.0
+    assert laplace_icdf(0.5) == 0.0
 
 
 def test_icdf_unit_quantile():
     # invert F(x) = 1 - exp(-x)/2 at x = 1
     u = 0.5 * (1 + (1 - math.exp(-1)))
-    assert laplace_icdf(u, 1.0) == pytest.approx(1.0, abs=1e-12)
+    assert laplace_icdf(u) == pytest.approx(1.0, abs=1e-12)
 
 
 @settings(max_examples=300, deadline=None)
 @given(u=st.floats(min_value=1e-12, max_value=1 - 1e-12),
        scale=st.floats(min_value=1e-6, max_value=1e3))
 def test_icdf_inverts_cdf(u, scale):
-    x = laplace_icdf(u, scale)
+    x = laplace_icdf(u) * scale
     cdf = stats.laplace.cdf(x, scale=scale)
     assert cdf == pytest.approx(u, abs=1e-9)
 
@@ -94,12 +94,12 @@ def test_icdf_inverts_cdf(u, scale):
 def test_icdf_antisymmetric(u):
     # tolerance reflects the icdf slope b/(1-u) amplifying the rounding of 1-u
     slack = max(1e-12, 4e-16 * 2.0 / (1 - u) if u < 1 else 0.0)
-    assert laplace_icdf(u, 2.0) == pytest.approx(-laplace_icdf(1 - u, 2.0), abs=slack + 1e-9)
+    assert laplace_icdf(u) * 2.0 == pytest.approx(-laplace_icdf(1 - u) * 2.0, abs=slack + 1e-9)
 
 
 def test_icdf_vectorized():
     us = np.array([0.25, 0.5, 0.75])
-    vals = laplace_icdf(us, 1.0)
+    vals = laplace_icdf(us)
     assert vals.shape == (3,)
     assert vals[1] == 0.0
     assert vals[0] == pytest.approx(-vals[2])
@@ -107,7 +107,7 @@ def test_icdf_vectorized():
 
 def test_icdf_of_uniforms_ks():
     rng = np.random.default_rng(101)
-    draws = laplace_icdf(rng.random(10**5), 1.5)
+    draws = laplace_icdf(rng.random(10**5)) * 1.5
     stat, pvalue = stats.kstest(draws, stats.laplace(scale=1.5).cdf)
     assert pvalue > 0.01
 

@@ -268,9 +268,9 @@ def run_line_case(model, budget, laplace, share, seed):
     rows, lengths, y, vecs, scale = line_case(model, budget, laplace, share, seed)
     rng = np.random.default_rng((6, seed))
     try:
-        est = robust_least_squares(rows, lengths, y, rng, query_actions=vecs,
-                                   clean_scale_sq=scale)
-        theta, diag, raised = est.theta, est.diagnostics, False
+        theta, diag = robust_least_squares(rows, lengths, y, rng, query_actions=vecs,
+                                           clean_scale_sq=scale)
+        raised = False
     except TooManyRemoved as exc:
         theta, diag, raised = None, exc.diagnostics, True
     return theta, diag, raised, float(rng.random())
@@ -312,15 +312,15 @@ def test_adjacent_runs_on_equal_rows_match_merged_run(case):
     for r, n in ((rows, lengths), (split_rows[keep], split_lengths[keep])):
         rng = np.random.default_rng((6, case[-1]))
         est = robust_least_squares(r, n, y, rng, query_actions=vecs, clean_scale_sq=scale)
-        outcomes.append((est, rng.random()))
-    (merged, next_merged), (split, next_split) = outcomes
-    assert merged.diagnostics.removed_count > 0
-    assert split.diagnostics.removed_indices == merged.diagnostics.removed_indices
-    assert split.diagnostics.iterations == merged.diagnostics.iterations
+        outcomes.append((*est, rng.random()))
+    (merged, merged_diag, next_merged), (split, split_diag, next_split) = outcomes
+    assert merged_diag.removed_count > 0
+    assert split_diag.removed_indices == merged_diag.removed_indices
+    assert split_diag.iterations == merged_diag.iterations
     assert next_split == next_merged
-    assert split.diagnostics.final_top_eigenvalue == pytest.approx(
-        merged.diagnostics.final_top_eigenvalue, rel=1e-12)
-    assert np.linalg.norm(split.theta - merged.theta) <= 1e-12 * np.linalg.norm(merged.theta)
+    assert split_diag.final_top_eigenvalue == pytest.approx(
+        merged_diag.final_top_eigenvalue, rel=1e-12)
+    assert np.linalg.norm(split - merged) <= 1e-12 * np.linalg.norm(merged)
 
 
 # ------------------------------------------------------ robust_least_squares
@@ -330,30 +330,33 @@ def test_noiseless_basis_recovery():
     theta = np.array([0.4, -0.3, 0.2, 0.6])
     actions = np.eye(4)
     rewards = actions @ theta
-    est = robust_least_squares(actions, singles(actions), rewards, np.random.default_rng(0))
-    assert np.linalg.norm(est.theta - theta) <= 1e-10
-    assert est.diagnostics.removed_count == 0
+    est, diag = robust_least_squares(actions, singles(actions), rewards, np.random.default_rng(0),
+                                     actions, DEFAULT_CLEAN_SCALE_SQ)
+    assert np.linalg.norm(est - theta) <= 1e-10
+    assert diag.removed_count == 0
 
 
 def test_zero_rewards_zero_estimate():
     actions = np.eye(3)
-    est = robust_least_squares(actions, singles(actions), np.zeros(3), np.random.default_rng(0))
-    assert np.allclose(est.theta, 0.0)
+    est, _ = robust_least_squares(actions, singles(actions), np.zeros(3), np.random.default_rng(0),
+                                  actions, DEFAULT_CLEAN_SCALE_SQ)
+    assert np.allclose(est, 0.0)
 
 
 def test_single_action_reduces_to_projection():
     actions = np.array([[1.0, 0.0, 0.0]])
-    est = robust_least_squares(actions, singles(actions), np.array([3.0]),
-                               np.random.default_rng(0))
-    assert np.allclose(est.theta, [3.0, 0.0, 0.0])
+    est, _ = robust_least_squares(actions, singles(actions), np.array([3.0]),
+                                  np.random.default_rng(0), actions, DEFAULT_CLEAN_SCALE_SQ)
+    assert np.allclose(est, [3.0, 0.0, 0.0])
 
 
 def test_gram_attached_and_psd():
     rng = np.random.default_rng(10)
     A = unit_rows(rng, 30, 4)[rng.integers(0, 30, size=100)]
     y = rng.normal(size=100)
-    est = robust_least_squares(A, singles(A), y, np.random.default_rng(1))
-    assert np.all(np.isfinite(est.theta))
+    est, _ = robust_least_squares(A, singles(A), y, np.random.default_rng(1),
+                                  A, DEFAULT_CLEAN_SCALE_SQ)
+    assert np.all(np.isfinite(est))
 
 
 def test_clean_reduction_matches_vanilla():
@@ -369,12 +372,13 @@ def test_clean_reduction_matches_vanilla():
         n = int(rng.integers(20, 500))
         A = vecs[rng.integers(0, k, size=n)]
         y = A @ theta + rng.normal(size=n)
-        est = robust_least_squares(A, singles(A), y, np.random.default_rng(trial))
+        est, diag = robust_least_squares(A, singles(A), y, np.random.default_rng(trial),
+                                         A, DEFAULT_CLEAN_SCALE_SQ)
         v = vanilla_least_squares(A, singles(A), y)
-        diff = est.theta - v
+        diff = est - v
         m_norm = float(np.sqrt(diff @ (A.T @ A) @ diff))
         assert m_norm <= 1e-8
-        assert est.diagnostics.removed_count == 0
+        assert diag.removed_count == 0
 
 
 def test_vanilla_matches_dense_normal_equations():
@@ -402,11 +406,13 @@ def test_rotation_equivariance_clean_path():
     theta /= 2 * np.linalg.norm(theta)
     y = A @ theta + rng.normal(size=120)
     q, _ = np.linalg.qr(rng.normal(size=(d, d)))
-    est = robust_least_squares(A, singles(A), y, np.random.default_rng(15))
-    est_rot = robust_least_squares(A @ q.T, singles(A), y, np.random.default_rng(15))
-    assert est.diagnostics.removed_count == 0
-    assert est_rot.diagnostics.removed_count == 0
-    assert np.allclose(est_rot.theta, q @ est.theta, atol=1e-9)
+    est, diag = robust_least_squares(A, singles(A), y, np.random.default_rng(15),
+                                     A, DEFAULT_CLEAN_SCALE_SQ)
+    est_rot, diag_rot = robust_least_squares(A @ q.T, singles(A), y, np.random.default_rng(15),
+                                             A @ q.T, DEFAULT_CLEAN_SCALE_SQ)
+    assert diag.removed_count == 0
+    assert diag_rot.removed_count == 0
+    assert np.allclose(est_rot, q @ est, atol=1e-9)
 
 
 def test_contamination_recovery_beats_vanilla():
@@ -426,9 +432,9 @@ def test_contamination_recovery_beats_vanilla():
         r = np.random.default_rng((0, seed, 77))
         y = clean + r.normal(0, 1, n)
         y = np.where(r.random(n) < 0.1, 50.0, y)
-        est = robust_least_squares(rows, lengths, y, np.random.default_rng((0, seed, 88)),
-                                   query_actions=vecs)
-        robust_err.append(float(np.linalg.norm(est.theta - theta)))
+        est, _ = robust_least_squares(rows, lengths, y, np.random.default_rng((0, seed, 88)),
+                                      query_actions=vecs, clean_scale_sq=DEFAULT_CLEAN_SCALE_SQ)
+        robust_err.append(float(np.linalg.norm(est - theta)))
         vanilla_err.append(float(np.linalg.norm(vanilla_least_squares(rows, lengths, y) - theta)))
     assert float(np.median(robust_err)) <= 0.5
     assert np.mean(np.asarray(robust_err) <= 0.5) >= 0.9
@@ -440,10 +446,12 @@ def test_robust_deterministic():
     A = unit_rows(rng, 20, 3)[rng.integers(0, 20, size=300)]
     y = A @ np.array([0.5, 0.1, -0.2]) + rng.normal(size=300)
     y[:30] = 40.0
-    e1 = robust_least_squares(A, singles(A), y, np.random.default_rng(17))
-    e2 = robust_least_squares(A, singles(A), y, np.random.default_rng(17))
-    assert np.array_equal(e1.theta, e2.theta)
-    assert e1.diagnostics.removed_indices == e2.diagnostics.removed_indices
+    e1, d1 = robust_least_squares(A, singles(A), y, np.random.default_rng(17),
+                                  A, DEFAULT_CLEAN_SCALE_SQ)
+    e2, d2 = robust_least_squares(A, singles(A), y, np.random.default_rng(17),
+                                  A, DEFAULT_CLEAN_SCALE_SQ)
+    assert np.array_equal(e1, e2)
+    assert d1.removed_indices == d2.removed_indices
 
 
 def test_query_out_of_span_raises():
@@ -451,7 +459,8 @@ def test_query_out_of_span_raises():
     with pytest.raises(OutOfSpan):
         robust_least_squares(actions, singles(actions), np.array([1.0, 1.0]),
                              np.random.default_rng(0),
-                             query_actions=np.array([[0.0, 1.0]]))
+                             query_actions=np.array([[0.0, 1.0]]),
+                             clean_scale_sq=DEFAULT_CLEAN_SCALE_SQ)
 
 
 def test_default_scale_constant_frozen():
