@@ -7,12 +7,12 @@ The optimizer is Frank-Wolfe on the log-det objective with away steps and
 exact line search, which keeps the support small while converging linearly.
 """
 
+import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 from types import MappingProxyType
 
 import numpy as np
-import scipy.linalg
 
 from .errors import FailsToConverge, OutOfSpan
 
@@ -22,6 +22,9 @@ RANK_TOL = 1e-10
 EIG_FLOOR = 1e-12
 SPAN_TOL = 1e-8
 PRUNE_FRACTION = 1e-6
+# LAPACK dlaqp2's TOL3Z: a downdated partial norm is recomputed from the
+# remaining rows once cancellation may have cost it half its digits.
+NORM_RECOMPUTE_TOL = math.sqrt(np.finfo(float).eps)
 # Frank-Wolfe iteration cap, and the factor c of the support bound
 # c * r * max(1, log log r).
 MAX_ITERS = 5000
@@ -148,10 +151,94 @@ class Design:
     effective_dim: int
 
 
+def column_norms(a: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each column of `a`, rounded as OpenBLAS's x86-64 dnrm2.
+
+    That kernel sums squares in x87 extended precision (np.longdouble): row
+    r goes to accumulator r % 4 over the largest multiple of 8 rows, the
+    remaining rows go to accumulator 0, and the sum is ((s0 + s2) + s1) + s3.
+    Unit-norm actions tie in their last bit, so this rounding decides which
+    one LAPACK pivots on first.
+    """
+    sq = np.square(a, dtype=np.longdouble)
+    blocked = sq.shape[0] - sq.shape[0] % 8
+    acc = np.zeros((4, sq.shape[1]), np.longdouble)
+    for r in range(0, blocked, 4):
+        acc += sq[r:r + 4]
+    for r in range(blocked, sq.shape[0]):
+        acc[0] += sq[r]
+    return np.sqrt(((acc[0] + acc[2]) + acc[1]) + acc[3]).astype(float)
+
+
+@np.errstate(divide="ignore", invalid="ignore")  # see the downdate
+def pivoted_qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """|diag(R)| and the column order of a column-pivoted QR of `a` (m x n).
+
+    A transcription of LAPACK's dlaqp2 (Businger & Golub 1965), the path
+    dgeqp3 takes when min(m, n) <= 128.  Step i swaps in the column of
+    largest partial norm, zeroes it below row i with a Householder
+    reflector (dlarfg), applies the reflector to the columns after it
+    (dlarf), and downdates their partial norms, recomputing a norm from the
+    remaining rows where the downdate has lost half its digits (Drmac and
+    Bujanovic, LAPACK Working Note 176).  Initial and recomputed norms are
+    rounded as column_norms rounds them, so ties between columns of equal
+    norm break as LAPACK breaks them.  The reflector's last bits differ
+    from LAPACK's, because numpy's products do not round as its gemv and
+    ger kernels do; so exactly repeated columns may be taken in another
+    order, and the reflector's norms are math.hypot, not dnrm2 and dlapy2.
+    dlarfg's rescaling of norms below 1e-292 is left out.  `a` is not
+    modified.
+    """
+    m, n = a.shape
+    r = np.array(a, dtype=float, order="C")  # a copy: rows stay long, `a` untouched
+    perm = np.arange(n)
+    vn1 = column_norms(r)  # partial norms, downdated each step
+    vn2 = vn1.copy()  # the norm each partial norm was last computed as
+    diag = np.empty(min(m, n))
+    for i in range(diag.size):
+        p = i + int(vn1[i:].argmax())
+        if p != i:
+            r[:, p], r[:, i] = r[:, i], r[:, p].copy()
+            perm[p], perm[i] = perm[i], perm[p]
+            vn1[p], vn2[p] = vn1[i], vn2[i]
+        alpha, *below = r[i:, i].tolist()
+        xnorm = math.hypot(*below)
+        beta = alpha
+        if xnorm != 0.0:
+            beta = -math.copysign(math.hypot(alpha, xnorm), alpha)
+            tau = (beta - alpha) / beta
+            v = r[i:, i] * (1.0 / (alpha - beta))  # the reflector [1; x / (alpha - beta)]
+            v[0] = 1.0
+            # Apply it to the columns after i through whole rows, which
+            # numpy updates several times faster than the strided block;
+            # the finished columns 0..i change too, but are never read
+            # again.  einsum forms the outer product twice as fast as
+            # np.multiply.outer.
+            w = v @ r[i:]
+            r[i:] -= np.einsum("i,j->ij", v, tau * w)
+        diag[i] = abs(beta)
+        if i + 1 == diag.size:
+            break
+        # Downdate: each later column's partial norm loses its row-i entry,
+        # and is recomputed where temp * (vn1 / vn2)^2 <= tol (LAPACK's
+        # TEMP2).  A norm of 0 belongs to a column that is 0 from row i on,
+        # so its ratio is 0/0: fmax turns that NaN into temp = 0, its TEMP2
+        # stays NaN and fails the test, and the norm stays 0 * 0, as LAPACK
+        # skips such columns.
+        live = vn1[i + 1:]
+        temp = np.fmax(1.0 - np.square(r[i, i + 1:] / live), 0.0)
+        redo = temp * np.square(live / vn2[i + 1:]) <= NORM_RECOMPUTE_TOL
+        live *= np.sqrt(temp)
+        if redo.any():
+            redo = np.flatnonzero(redo) + i + 1
+            vn1[redo] = column_norms(r[i + 1:, redo])
+            vn2[redo] = vn1[redo]
+    return diag, perm
+
+
 def _greedy_basis(coords: np.ndarray, rank: int) -> np.ndarray:
     """Indices of a well-conditioned spanning subset, via pivoted QR."""
-    piv = scipy.linalg.qr(coords.T, mode="r", pivoting=True)[1]
-    return np.sort(piv[:rank])
+    return np.sort(pivoted_qr(coords.T)[1][:rank])
 
 
 def _leverages(coords: np.ndarray, gram: np.ndarray) -> np.ndarray:
@@ -176,9 +263,9 @@ def compute_design(actions: ActionSet, tol: float) -> Design:
     vecs = actions.vectors
     K = actions.count
 
-    # scipy, not numpy: unit-norm actions tie in rounding, and designs follow LAPACK's first pivot.
-    r_mat, piv = scipy.linalg.qr(vecs.T, mode="r", pivoting=True)
-    diag = np.abs(np.diag(r_mat))
+    # pivoted_qr, not np.linalg.qr: unit-norm actions tie in rounding, and
+    # designs follow LAPACK dgeqp3's choice among them.
+    diag, piv = pivoted_qr(vecs.T)
     if diag.size == 0 or diag[0] <= RANK_TOL:
         raise ValueError("action set spans no direction (all actions are zero)")
     rank = int(np.sum(diag > RANK_TOL * diag[0]))

@@ -1,17 +1,22 @@
 import json
+import platform
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rpbandits.design
 from rpbandits.design import (
+    RANK_TOL,
     ActionSet,
     Coreset,
     Design,
     build_coreset,
+    column_norms,
     compute_design,
+    pivoted_qr,
     span_leverages,
 )
 from rpbandits.env import generate_instance
@@ -278,6 +283,100 @@ def test_design_bit_equal_on_separate_copies():
     assert np.array(list(d1.weights.values())).tobytes() == np.array(
         list(d2.weights.values())).tobytes()
     assert repr(d1.gvalue) == repr(d2.gvalue)
+
+
+# ---------------------------------------------------------------- pivoted_qr
+# scipy's dgeqp3 is the oracle: the port must pick the same rank and the same
+# pivots, because designs start from them.
+
+X87 = pytest.mark.skipif(
+    platform.machine() not in ("x86_64", "AMD64") or np.finfo(np.longdouble).nmant != 63,
+    reason="the port rounds norms as OpenBLAS's x86-64 dnrm2, which sums in x87 "
+           "extended precision; elsewhere LAPACK's norms round another way")
+
+
+def pivots(diag, perm):
+    """Rank at RANK_TOL and the pivots that span it."""
+    rank = int(np.sum(diag > RANK_TOL * diag[0]))
+    return rank, perm[:rank].tolist()
+
+
+def lapack_pivots(a):
+    r, piv = scipy.linalg.qr(a, mode="r", pivoting=True)
+    return pivots(np.abs(np.diag(r)), piv)
+
+
+@X87
+def test_column_norms_round_as_dnrm2():
+    # About one column in 10^4 tells the order in which the sums combine.
+    rng = np.random.default_rng(0)
+    for m in range(1, 71):
+        a = rng.normal(size=(m, 1000))
+        a[:, ::2] /= np.linalg.norm(a[:, ::2], axis=0)  # unit columns tie in the last bit
+        expected = [float(scipy.linalg.blas.dnrm2(col)) for col in a.T]
+        assert column_norms(a).tolist() == expected, m
+
+
+@X87
+def test_pivots_match_lapack_on_generated_sets():
+    # Each design pivots on the active actions, then on their coordinates in
+    # the span (coords.T); generated actions are unit-norm, so norms tie.
+    rng = np.random.default_rng(1)
+    for seed in range(40):
+        d, k = int(rng.integers(1, 21)), int(rng.integers(1, 300))
+        vecs = generate_instance(dim=d, num_actions=k, seed=seed).actions.vectors
+        active = vecs[np.sort(rng.choice(k, size=int(rng.integers(1, k + 1)), replace=False))]
+        _, piv = pivots(*pivoted_qr(active.T))
+        basis, _ = np.linalg.qr(active[piv].T)
+        for a in (vecs.T, active.T, (active @ basis).T):
+            assert pivots(*pivoted_qr(a)) == lapack_pivots(a), seed
+
+
+@X87
+@pytest.mark.parametrize("kind", ["low-rank", "signed-identity", "graded"])
+def test_pivots_match_lapack_on_hard_inputs(kind):
+    rng = np.random.default_rng(2)
+    for _ in range(30):
+        d, k = int(rng.integers(2, 21)), int(rng.integers(2, 300))
+        if kind == "low-rank":
+            vecs = rng.normal(size=(k, 2)) @ rng.normal(size=(2, d))
+        elif kind == "signed-identity":
+            # Repeats leave remainders of exactly 0, so norms drop to 0.
+            signs = np.diag(rng.choice([-1.0, 1.0], size=d))
+            vecs = np.vstack([signs, np.zeros((1, d)), -signs, np.eye(d)])
+        else:
+            vecs = rng.normal(size=(k, d)) * np.logspace(0, -12, d)
+        a = vecs.T
+        assert pivots(*pivoted_qr(a)) == lapack_pivots(a)
+
+
+def test_pivoted_qr_leaves_its_input_alone():
+    # compute_design passes vecs.T, whose C-ordered form is vecs itself, so
+    # working in np.ascontiguousarray(a) would corrupt the caller's actions.
+    vecs = generate_instance(dim=5, num_actions=40, seed=1).actions.vectors
+    for a in (vecs.T, vecs):
+        before = a.copy()
+        pivoted_qr(a)
+        assert a.tobytes() == before.tobytes()
+
+
+@X87
+def test_repeated_actions_pivot_on_an_equal_copy():
+    # A documented difference: among exactly equal columns, LAPACK's choice
+    # follows the rounding of its gemv kernel, which the port does not copy.
+    # The port pivots on an equal column, so the spanning vectors agree.
+    rng = np.random.default_rng(5)
+    other_index = 0
+    for seed in range(60):
+        d, k = int(rng.integers(1, 25)), int(rng.integers(1, 400))
+        vecs = generate_instance(dim=d, num_actions=k, seed=seed).actions.vectors
+        a = vecs[rng.integers(0, k, size=k)].T
+        rank, piv = pivots(*pivoted_qr(a))
+        lapack_rank, lapack_piv = lapack_pivots(a)
+        assert rank == lapack_rank
+        assert np.array_equal(a[:, piv], a[:, lapack_piv])
+        other_index += piv != lapack_piv
+    assert other_index > 0
 
 
 # ------------------------------------------------------------- build_coreset
