@@ -15,6 +15,7 @@ from .harness import (
     summarize,
     summary_table,
     write_summary_csv,
+    writing,
 )
 from .seeding import INT_LABELS
 
@@ -66,6 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Batched linear bandit experiments with robust, private estimation.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    out_default = _env_default("RPBANDITS_OUT", "out")
 
     gen = sub.add_parser("gen-instance", help="generate and save a random bandit instance")
     gen.add_argument("--dim", type=_number(int, 1), required=True)
@@ -78,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="run a sweep from a JSON config")
     run.add_argument("--config", required=True)
-    run.add_argument("--out", default=None,
+    run.add_argument("--out", default=out_default,
                      help="output directory (default: RPBANDITS_OUT or ./out)")
     run.add_argument("--seeds", type=_parse_seeds, default=None,
                      help="override config seeds: a count N or a comma list")
@@ -92,12 +94,14 @@ def build_parser() -> argparse.ArgumentParser:
                      help="skip cells already recorded in the manifest")
 
     summ = sub.add_parser("summarize", help="aggregate a finished sweep directory")
-    summ.add_argument("--out", default=None, help="sweep directory to summarize")
+    summ.add_argument("--out", default=out_default,
+                      help="sweep directory to summarize (default: RPBANDITS_OUT or ./out)")
     summ.add_argument("--checkpoints", type=_checkpoint_list, default=None,
                       help="comma list of play counts")
 
     plot = sub.add_parser("plot-data", help="emit long-format regret curves as CSV")
-    plot.add_argument("--out", default=None, help="sweep directory to read")
+    plot.add_argument("--out", default=out_default,
+                      help="sweep directory to read (default: RPBANDITS_OUT or ./out)")
     plot.add_argument("--dest", default=None,
                       help="CSV path (default: <out>/plotdata.csv)")
     return parser
@@ -111,18 +115,12 @@ def _cmd_gen_instance(args) -> int:
         noise=args.noise,
         theta_norm=args.theta_norm,
     )
-    save_instance(instance, args.out)
+    with writing(args.out):
+        save_instance(instance, args.out)
     best = instance.optimal_index
     print(f"wrote {args.out}: K={instance.actions.count} d={instance.actions.dim} "
           f"optimal arm {best}")
     return 0
-
-
-def _resolve_out(args) -> str:
-    out = args.out
-    if out is None:
-        out = _env_default("RPBANDITS_OUT", "out")
-    return out
 
 
 def _cmd_run(args) -> int:
@@ -133,15 +131,14 @@ def _cmd_run(args) -> int:
         raise ConfigInvalid(f"cannot read config {args.config}: {exc}") from exc
     if args.seeds is not None and isinstance(config, dict):
         config["seeds"] = args.seeds
-    out_dir = _resolve_out(args)
     base_dir = os.path.dirname(os.path.abspath(args.config))
-    result = run_sweep(config, out_dir, workers=args.workers, resume=args.resume,
+    result = run_sweep(config, args.out, workers=args.workers, resume=args.resume,
                        base_dir=base_dir)
     rows = summarize(result)
-    write_summary_csv(rows, os.path.join(out_dir, "summary.csv"))
-    emit_plotdata(result, os.path.join(out_dir, "plotdata.csv"))
+    write_summary_csv(rows, os.path.join(args.out, "summary.csv"))
+    emit_plotdata(result, os.path.join(args.out, "plotdata.csv"))
     print(summary_table(rows))
-    print(f"\n{len(result.traces)} traces in {out_dir} "
+    print(f"\n{len(result.traces)} traces in {args.out} "
           f"({result.wall_clock_s:.1f}s, {len(result.failures)} failed)")
     for failure in result.failures:
         print(f"  FAILED {failure['variant']} seed {failure['seed']}: "
@@ -150,18 +147,16 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_summarize(args) -> int:
-    out_dir = _resolve_out(args)
-    result = load_sweep(out_dir)
+    result = load_sweep(args.out)
     rows = summarize(result, args.checkpoints)
-    write_summary_csv(rows, os.path.join(out_dir, "summary.csv"))
+    write_summary_csv(rows, os.path.join(args.out, "summary.csv"))
     print(summary_table(rows))
     return 0
 
 
 def _cmd_plot_data(args) -> int:
-    out_dir = _resolve_out(args)
-    result = load_sweep(out_dir)
-    dest = args.dest or os.path.join(out_dir, "plotdata.csv")
+    result = load_sweep(args.out)
+    dest = args.dest or os.path.join(args.out, "plotdata.csv")
     count = emit_plotdata(result, dest)
     print(f"wrote {count} rows to {dest}")
     return 0

@@ -20,11 +20,11 @@ order.  A play's draws therefore live at fixed stream positions (its client
 slot), independent of processing order, which keeps batch generation
 parallelizable across clients with results identical to sequential
 execution.  The batch is processed stage by stage (noise, mask, privacy),
-each stage in chunks of at most PLAY_CHUNK plays of whole clients, so a
-stage draws from the stream in the same order as one whole-batch draw while
-its temporaries stay bounded.  What scales with the batch is one float per
-play and one flag per client; under M1 the per-play floats become the
-reports in place.
+all three stages over one plan of chunks of whole clients of at most
+PLAY_CHUNK plays, so a stage draws from the stream in the same order as one
+whole-batch draw while its temporaries stay bounded.  What scales with the
+batch is one float per play and one flag per client; under M1 the per-play
+floats become the reports in place.
 """
 
 import json
@@ -186,16 +186,9 @@ def _corrupt_values(
     return original.copy()  # "none"
 
 
-def _worst_arm_in(instance: BanditInstance, coreset: Coreset) -> int:
-    means = instance.mean_rewards
-    idxs = [i for i, _ in coreset.entries]
-    sub = np.asarray([means[i] for i in idxs])
-    return int(idxs[int(np.argmin(sub))])
-
-
-# Plays per chunk of a batch's per-play stages, and clients per chunk of its
-# per-client ones, which bounds their temporaries; a client with more plays
-# than this is a chunk of its own.
+# Plays per chunk of a batch, which bounds the temporaries of every stage: a
+# chunk holds at most this many plays, and so at most this many clients; a
+# client with more plays than this is a chunk of its own.
 PLAY_CHUNK = 1 << 14
 
 
@@ -235,23 +228,19 @@ def _play(
     """Per-client (raw reward or None, corrupted flag, reported reward).
 
     Three stages run over the whole batch one after another, noise, then
-    the adversary's mask, then privacy, each chunk by chunk and in place on
-    one per-play and one per-client array, so a stage draws its uniforms
-    and noise in the same stream order as a single whole-batch call.  When
-    every client holds one play (M1) the two arrays are one.  Stages that
-    touch plays take chunks of whole clients (see _chunks); stages that
-    touch only reports take PLAY_CHUNK clients at a time.
+    the adversary's mask, then privacy, each over the chunks of _chunks and
+    in place on one per-play and one per-client array, so a stage draws its
+    uniforms and noise in the same stream order as a single whole-batch
+    call.  When every client holds one play (M1) the two arrays are one.
     """
     actions, lengths, counts = coreset.runs()
     client_ends = np.cumsum(lengths)
     n_clients = int(lengths.sum())
     total = int(lengths @ counts)
     chunks = _chunks(lengths, counts)
-    client_chunks = [(c0, min(c0 + PLAY_CHUNK, n_clients))
-                     for c0 in range(0, n_clients, PLAY_CHUNK)]
     means = instance.mean_rewards
     aggregate_mode = adversary.aggregate_corruption or adversary.corrupt_stage == "post-privacy"
-    worst = _worst_arm_in(instance, coreset) if actions.size else 0
+    worst = int(actions[means[actions].argmin()]) if actions.size else 0
 
     def clients_of(c0, c1):
         run = client_ends.searchsorted(np.arange(c0, c1), side="right")
@@ -270,7 +259,7 @@ def _play(
     # Mask: per raw draw by default, per report in aggregate mode.
     corrupted = np.zeros(n_clients, dtype=bool)
     if adversary.alpha > 0.0 and aggregate_mode:
-        for c0, c1 in client_chunks:
+        for c0, c1, _, _ in chunks:
             mask = rng.random(c1 - c0) >= 1.0 - adversary.alpha
             corrupted[c0:c1] = mask
             if adversary.corrupt_stage == "pre-privacy":
@@ -286,13 +275,15 @@ def _play(
             d[:] = np.where(mask, _corrupt_values(d, np.repeat(acts, n_a), adversary, worst), d)
             values[c0:c1] = np.add.reduceat(d, starts) / n_a
 
-    # Privacy: release each report, then corrupt it under the post-privacy stage.
-    for c0, c1 in client_chunks:
+    # Privacy: each client sends its value, clipped if set, plus its Laplace
+    # noise; under the post-privacy stage the adversary then corrupts it.
+    for c0, c1, _, _ in chunks:
         acts, n_a, _ = clients_of(c0, c1)
-        priv = None
+        released = values[c0:c1]
+        if privacy.clip is not None:
+            released = np.clip(released, -privacy.clip, privacy.clip)
         if privacy.enabled:
-            priv = laplace_icdf(rng.random(c1 - c0)) * laplace_scale(privacy, n_a)
-        released = _release(values[c0:c1], privacy, priv)
+            released = released + laplace_icdf(rng.random(c1 - c0)) * laplace_scale(privacy, n_a)
         if adversary.corrupt_stage == "post-privacy":
             released = np.where(corrupted[c0:c1],
                                 _corrupt_values(released, acts, adversary, worst), released)
@@ -321,13 +312,6 @@ def observe_batch(
     actions, lengths, _ = coreset.runs()
     raw, corrupted, reported = _play(instance, coreset, adversary, privacy, rng, keep_raw=True)
     return np.repeat(actions, lengths), raw, corrupted, reported
-
-
-def _release(values: np.ndarray, privacy: PrivacyParams, noise: np.ndarray | None) -> np.ndarray:
-    """What a client sends: its value, clipped if set, plus its privacy noise."""
-    if privacy.clip is not None:
-        values = np.clip(values, -privacy.clip, privacy.clip)
-    return values if noise is None else values + noise
 
 
 class LearnerEnv:

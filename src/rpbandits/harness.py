@@ -8,6 +8,7 @@ produce byte-identical trace files to a sequential run.
 """
 
 import concurrent.futures
+import contextlib
 import hashlib
 import json
 import os
@@ -27,7 +28,7 @@ from .env import (
     generate_instance,
     load_instance,
 )
-from .errors import ConfigInvalid
+from .errors import BanditError, ConfigInvalid
 from .policy import (
     RegretTrace,
     Schedule,
@@ -214,13 +215,28 @@ def trace_to_bytes(trace: RegretTrace) -> bytes:
     return (data + "\n").encode("utf-8")
 
 
+@contextlib.contextmanager
+def writing(path: str):
+    """Raise an OSError of the block as a BanditError: path cannot be written."""
+    try:
+        yield
+    except OSError as exc:
+        raise BanditError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def _atomic_write(path: str, payload: bytes) -> None:
     tmp = path + ".tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(payload)
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
+    with writing(path):
+        fh = open(tmp, "wb")
+        try:
+            with fh:
+                fh.write(payload)
+                fh.flush()
+                os.fsync(fh.fileno())
+            os.replace(tmp, path)
+        except OSError:
+            os.remove(tmp)  # the temp file this call made, so nothing is left
+            raise
 
 
 def _trace_filename(variant: str, seed: int) -> str:
@@ -313,9 +329,8 @@ def run_sweep(
         source = next(iter(config["instance"]))
         raise ConfigInvalid(f"config field instance/{source}: {exc}") from exc
     started = time.monotonic()
-    os.makedirs(out_dir, exist_ok=True)
-    traces_dir = os.path.join(out_dir, "traces")
-    os.makedirs(traces_dir, exist_ok=True)
+    with writing(out_dir):
+        os.makedirs(os.path.join(out_dir, "traces"), exist_ok=True)
     manifest_path = os.path.join(out_dir, "manifest.json")
 
     digest = config_hash(config)

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from rpbandits import env
 from rpbandits.design import ActionSet, Coreset
 from rpbandits.env import (
     PLAY_CHUNK,
@@ -597,3 +598,26 @@ def test_observe_batch_matches_chunk_golden():
     for (case, args), expected in zip(cases, golden["cases"]):
         got = [array_digest(a) for a in observe_batch(*args)]
         assert got == expected, case
+
+
+@pytest.mark.parametrize("chunk", [PLAY_CHUNK, 5])
+def test_chunks_cover_whole_clients_within_the_bound(monkeypatch, chunk):
+    # Every stage of a batch runs over _chunks' plan: per-play stages slice
+    # plays [p0, p1), per-client ones clients [c0, c1), and both reduceat a
+    # chunk's plays into its clients.  Runs of one-play clients (M1) are
+    # long, and runs of few clients hold more plays than a chunk (M2).
+    monkeypatch.setattr(env, "PLAY_CHUNK", chunk)
+    rng = np.random.default_rng(0)
+    for _ in range(300):
+        n_runs = int(rng.integers(0, 8))
+        single = rng.random(n_runs) < 0.5
+        counts = np.where(single, 1, rng.integers(1, 3 * chunk, n_runs))
+        lengths = np.where(single, rng.integers(1, 3 * chunk, n_runs), rng.integers(1, 4, n_runs))
+        client_ends = np.concatenate([[0], np.cumsum(np.repeat(counts, lengths))])
+        c = p = 0
+        for c0, c1, p0, p1 in env._chunks(lengths, counts):
+            assert (c0, p0) == (c, p) and c1 > c0
+            assert (p0, p1) == (client_ends[c0], client_ends[c1])
+            assert p1 - p0 <= chunk or c1 - c0 == 1
+            c, p = c1, p1
+        assert (c, p) == (lengths.sum(), client_ends[-1])

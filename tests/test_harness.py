@@ -3,6 +3,7 @@ and the CLI entry points."""
 
 import concurrent.futures
 import dataclasses
+import errno
 import json
 import os
 import re
@@ -60,6 +61,12 @@ GOLDEN_CONFIG = {
     "baselines": ["vanilla"],
     "master_seed": 7,
 }
+
+
+def file_tree(root: Path) -> list:
+    """Every path under root, with the bytes of each file."""
+    return sorted((str(p.relative_to(root)), p.read_bytes() if p.is_file() else None)
+                  for p in root.rglob("*"))
 
 
 def small_config(**overrides):
@@ -1143,6 +1150,39 @@ class TestCli:
         assert exc.value.code == 2
         assert "--checkpoints" in capsys.readouterr().err
         assert sorted((p.name, p.read_bytes()) for p in out.iterdir() if p.is_file()) == before
+
+    def test_unwritable_instance_path_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "nodir" / "x.json"
+        rc = main(["gen-instance", "--dim", "2", "--num-actions", "5", "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot write {out}: {os.strerror(errno.ENOENT)}\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_unwritable_out_dir_exits_2(self, tmp_path, capsys):
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(small_config()))
+        (tmp_path / "afile").write_text("not a directory")
+        before = file_tree(tmp_path)
+        out = tmp_path / "afile" / "sub"
+        rc = main(["run", "--config", str(cfg_path), "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot write {out}: {os.strerror(errno.ENOTDIR)}\n")
+        assert file_tree(tmp_path) == before
+
+    @pytest.mark.parametrize("dest, code", [("nodir/p.csv", errno.ENOENT),
+                                            ("adir", errno.EISDIR)])
+    def test_unwritable_plot_dest_exits_2(self, tmp_path, capsys, dest, code):
+        out = tmp_path / "out"
+        run_sweep(small_config(), str(out))
+        (tmp_path / "adir").mkdir()
+        before = file_tree(tmp_path)
+        rc = main(["plot-data", "--out", str(out), "--dest", str(tmp_path / dest)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot write {tmp_path / dest}: {os.strerror(code)}\n")
+        assert file_tree(tmp_path) == before
 
     @pytest.mark.parametrize("command", ["summarize", "plot-data"])
     def test_directory_without_sweep_exits_2(self, tmp_path, capsys, command):
