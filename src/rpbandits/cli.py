@@ -56,18 +56,13 @@ def _checkpoint_list(text: str) -> list[int]:
     return checkpoints
 
 
-def _env_default(name: str, fallback):
-    value = os.environ.get(name)
-    return value if value is not None else fallback
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rpbandits",
         description="Batched linear bandit experiments with robust, private estimation.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    out_default = _env_default("RPBANDITS_OUT", "out")
+    out_default = os.environ.get("RPBANDITS_OUT", "out")
 
     gen = sub.add_parser("gen-instance", help="generate and save a random bandit instance")
     gen.add_argument("--dim", type=_number(int, 1), required=True)
@@ -88,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
     # RPBANDITS_WORKERS is a usage error (exit 2) like a bad --workers.
     run.add_argument("--workers",
                      type=_number(int, 1, source=" (from --workers or RPBANDITS_WORKERS)"),
-                     default=_env_default("RPBANDITS_WORKERS", "1"),
+                     default=os.environ.get("RPBANDITS_WORKERS", "1"),
                      help="parallel workers (default: RPBANDITS_WORKERS or 1)")
     run.add_argument("--resume", action="store_true",
                      help="skip cells already recorded in the manifest")

@@ -9,6 +9,7 @@ produce byte-identical trace files to a sequential run.
 
 import concurrent.futures
 import contextlib
+import functools
 import hashlib
 import json
 import os
@@ -316,10 +317,11 @@ def run_sweep(
 
     Each finished cell is durably written (temp file + rename + manifest
     append) before the sweep moves on, so a crashed sweep can be resumed with
-    resume=True; completed cells are detected via the manifest and skipped.
-    Failed cells are recorded in the manifest with their error and reported
-    in the result rather than silently dropped.  A config that fails
-    validation, or whose instance source cannot be built, raises
+    resume=True.  A cell's last manifest record decides: the resume skips it
+    when that record is ok and its trace file exists, and reruns it
+    otherwise.  Failed cells are recorded in the manifest with their error
+    and reported in the result rather than silently dropped.  A config that
+    fails validation, or whose instance source cannot be built, raises
     ConfigInvalid before anything is written.
     """
     validate_config(config)
@@ -336,77 +338,63 @@ def run_sweep(
     digest = config_hash(config)
     header = {"kind": "header", "schema": CONFIG_VERSION,
               "config_hash": digest, "config": config}
-    completed: set[tuple[str, int]] = set()
-    kept: list[dict] = []
+    # Each cell's last record, or None; the keys keep (variant, seed) order.
+    records: dict[tuple[str, int], dict | None] = dict.fromkeys(_cells_of(config))
     if os.path.exists(manifest_path):
-        prior = _read_manifest(manifest_path)
-        if not resume:
-            if prior["header"] is not None and prior["header"]["config_hash"] != digest:
-                raise ConfigInvalid(
-                    "out_dir already holds results for a different config; "
-                    "choose a fresh directory"
-                )
-        else:
-            if prior["header"] is None or prior["header"]["config_hash"] != digest:
-                raise ConfigInvalid("manifest does not match this config; cannot resume")
-            kept = prior["cells"]
-            completed = {
-                (c["variant"], c["seed"])
-                for c in kept
-                if c["status"] == "ok"
-                and os.path.exists(os.path.join(out_dir, c["path"]))
-            }
+        prior, found = _read_manifest(manifest_path)
+        # A manifest without a header can be started over, not resumed.
+        if resume if prior is None else prior["config_hash"] != digest:
+            raise ConfigInvalid(
+                "manifest does not match this config; cannot resume" if resume else
+                "out_dir already holds results for a different config; "
+                "choose a fresh directory")
+        if resume:
+            records = {cell: found.get(cell) for cell in records}
+
+    def rewrite_manifest():
+        lines = [header, *(rec for rec in records.values() if rec is not None)]
+        _atomic_write(manifest_path, b"".join(map(_manifest_line, lines)))
+
     # Written whole before the first append, so that no record is appended
     # to the torn tail an interrupted append may have left.
-    _atomic_write(manifest_path, b"".join(map(_manifest_line, [header, *kept])))
+    rewrite_manifest()
+    pending = [cell for cell, rec in records.items()
+               if not (rec and rec["status"] == "ok"
+                       and os.path.exists(os.path.join(out_dir, rec["path"])))]
 
-    pending = [c for c in _cells_of(config) if c not in completed]
-
-    def finish(variant: str, seed: int, payload: bytes | None, error: str | None):
-        rel = os.path.join("traces", _trace_filename(variant, seed))
+    def finish(cell: tuple[str, int], payload: bytes | None, error: str | None):
+        variant, seed = cell
+        rec = {"kind": "cell", "variant": variant, "seed": seed}
         if error is None:
-            _atomic_write(os.path.join(out_dir, rel), payload)
-            rec = {"kind": "cell", "variant": variant, "seed": seed,
-                   "status": "ok", "path": rel}
+            rec.update(status="ok", path=os.path.join("traces", _trace_filename(variant, seed)))
+            _atomic_write(os.path.join(out_dir, rec["path"]), payload)
         else:
-            rec = {"kind": "cell", "variant": variant, "seed": seed,
-                   "status": "error", "error": error}
+            rec.update(status="error", error=error)
         with open(manifest_path, "ab") as fh:
             fh.write(_manifest_line(rec))
             fh.flush()
             os.fsync(fh.fileno())
+        records[cell] = rec
 
     # A pool forks all its processes at the first submit, so it gets no more
     # of them than there are cells to run, and none when no cell is left.
-    if workers <= 1 or not pending:
-        for variant, seed in pending:
+    pool = (concurrent.futures.ProcessPoolExecutor(max_workers=min(workers, len(pending)))
+            if workers > 1 and pending else None)
+    with pool or contextlib.nullcontext():
+        if pool is None:
+            jobs = ((cell, functools.partial(_cell_bytes, config, *cell, base_dir))
+                    for cell in pending)
+        else:
+            futs = {pool.submit(_cell_bytes, config, *cell, base_dir): cell for cell in pending}
+            jobs = ((futs[fut], fut.result) for fut in concurrent.futures.as_completed(futs))
+        for cell, thunk in jobs:
             try:
-                trace = run_cell(config, variant, seed, base_dir)
-                finish(variant, seed, trace_to_bytes(trace), None)
+                finish(cell, thunk(), None)
             except Exception as exc:  # noqa: BLE001 - recorded, not dropped
-                finish(variant, seed, None, f"{type(exc).__name__}: {exc}")
-    else:
-        with concurrent.futures.ProcessPoolExecutor(
-            max_workers=min(workers, len(pending))
-        ) as pool:
-            futs = {
-                pool.submit(_cell_bytes, config, variant, seed, base_dir): (variant, seed)
-                for variant, seed in pending
-            }
-            for fut in concurrent.futures.as_completed(futs):
-                variant, seed = futs[fut]
-                try:
-                    finish(variant, seed, fut.result(), None)
-                except Exception as exc:  # noqa: BLE001
-                    finish(variant, seed, None, f"{type(exc).__name__}: {exc}")
+                finish(cell, None, f"{type(exc).__name__}: {exc}")
 
-    # Rewrite the manifest in canonical cell order once the sweep is complete,
-    # so reruns of a finished sweep compare byte for byte.
-    records = _canonical_cells(config, _read_manifest(manifest_path)["cells"])
-    _atomic_write(manifest_path, b"".join(map(_manifest_line, [header, *records])))
-
-    # A resume re-runs every cell not marked ok, so the failures among the
-    # canonical records are exactly this run's.
+    # Rewritten once more, so reruns of a finished sweep compare byte for byte.
+    rewrite_manifest()
     result = _sweep_result(out_dir, config, records)
     result.wall_clock_s = time.monotonic() - started
     return result
@@ -430,8 +418,8 @@ MANIFEST_KEYS = {
 }
 
 
-def _read_manifest(path: str) -> dict:
-    """Header and cell records of a manifest.
+def _read_manifest(path: str) -> tuple[dict | None, dict[tuple[str, int], dict]]:
+    """A manifest's header and each cell's last record, keyed by (variant, seed).
 
     A final line with no newline is what an interrupted append leaves, and
     is ignored.  Any other line that is not a JSON object, and any header
@@ -439,7 +427,7 @@ def _read_manifest(path: str) -> dict:
     wrong JSON type, raises ConfigInvalid naming the file and the line.
     """
     header = None
-    cells = []
+    cells = {}
     with open(path, "rb") as fh:
         for number, line in enumerate(fh, 1):
             if not line.endswith(b"\n"):
@@ -467,25 +455,20 @@ def _read_manifest(path: str) -> dict:
             if kind == "header":
                 header = rec
             else:
-                cells.append(rec)
-    return {"header": header, "cells": cells}
+                cells[(rec["variant"], rec["seed"])] = rec
+    return header, cells
 
 
-def _canonical_cells(config: dict, records: list[dict]) -> list[dict]:
-    """The last manifest record of each cell, in (variant, seed) order."""
-    by_cell = {(c["variant"], c["seed"]): c for c in records}
-    return [by_cell[c] for c in _cells_of(config) if c in by_cell]
-
-
-def _sweep_result(out_dir: str, config: dict, records: list[dict]) -> SweepResult:
-    """Load and aggregate the cells canonical manifest records mark ok.
+def _sweep_result(out_dir: str, config: dict, records: dict) -> SweepResult:
+    """Load and aggregate the cells whose last manifest record is ok.
 
     Only those count: a trace file left over from an earlier run of a cell
     that has since failed is stale.  An ok cell whose trace file is missing
     or is not a trace raises ConfigInvalid.
     """
+    cells = [records[c] for c in _cells_of(config) if records.get(c)]
     traces: dict[tuple[str, int], RegretTrace] = {}
-    for cell in records:
+    for cell in cells:
         if cell["status"] == "ok":
             path = os.path.join(out_dir, cell["path"])
             try:
@@ -501,7 +484,7 @@ def _sweep_result(out_dir: str, config: dict, records: list[dict]) -> SweepResul
     return SweepResult(
         out_dir=out_dir, config=config, variants=variants, seeds=seeds,
         checkpoints=list(checkpoints), traces=traces, stats=stats,
-        survival=survival, failures=[c for c in records if c["status"] != "ok"],
+        survival=survival, failures=[c for c in cells if c["status"] != "ok"],
         wall_clock_s=0.0,
     )
 
@@ -511,12 +494,12 @@ def load_sweep(out_dir: str) -> SweepResult:
     manifest_path = os.path.join(out_dir, "manifest.json")
     if not os.path.isfile(manifest_path):
         raise ConfigInvalid(f"no sweep under {out_dir}")
-    manifest = _read_manifest(manifest_path)
-    if manifest["header"] is None:
+    header, records = _read_manifest(manifest_path)
+    if header is None:
         raise ConfigInvalid(f"no manifest header found under {out_dir}")
-    config = manifest["header"]["config"]
+    config = header["config"]
     validate_config(config)
-    return _sweep_result(out_dir, config, _canonical_cells(config, manifest["cells"]))
+    return _sweep_result(out_dir, config, records)
 
 
 SUMMARY_FIELDS = ["variant", "checkpoint", "n_seeds", "mean_regret",

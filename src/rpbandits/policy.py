@@ -376,8 +376,8 @@ def _estimate(
 
 
 # Designs this process has computed, least recently used first, keyed by
-# active-set content.  An entry is a d x d Gram plus at most
-# _support_bound(r) weights, so the cap holds the cache to a few MB.
+# active-set content.  An entry is a Design with at most _support_bound(r)
+# weights, so the cap holds the cache to a few MB.
 DESIGN_CACHE_SIZE = 128
 DESIGN_TOL = 0.25
 _designs: OrderedDict[tuple, Design] = OrderedDict()
@@ -389,10 +389,10 @@ def _design_for(sub: ActionSet) -> Design:
 
     compute_design is deterministic, so equal bytes give a bit-equal design
     and a reused one leaves every trace byte as it was.  Cached designs are
-    shared between cells: their Gram is read-only, and callers must not
-    change their weights.  A miss calls compute_design through this
-    module's attribute, so a wrapper installed there sees every design
-    actually computed.
+    shared between cells, and callers cannot change them: a Design is
+    frozen and its weights are a read-only mapping.  A miss calls
+    compute_design through this module's attribute, so a wrapper installed
+    there sees every design actually computed.
     """
     vecs = sub.vectors
     key = (vecs.shape, hashlib.blake2b(vecs.tobytes()).digest())

@@ -892,7 +892,8 @@ class TestRunSweep:
         run_sweep(config, str(out), workers=64, resume=True)
         assert sizes == [3, 1]
 
-    def test_partial_failure_is_recorded_not_raised(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_partial_failure_is_recorded_not_raised(self, tmp_path, monkeypatch, workers):
         real = harness.run_cell
 
         def flaky(cfg, variant, seed, base_dir=None):
@@ -900,8 +901,9 @@ class TestRunSweep:
                 raise RuntimeError("synthetic cell failure")
             return real(cfg, variant, seed, base_dir)
 
+        # Forked pool workers inherit the patched run_cell.
         monkeypatch.setattr(harness, "run_cell", flaky)
-        result = run_sweep(small_config(), str(tmp_path / "s"))
+        result = run_sweep(small_config(), str(tmp_path / "s"), workers=workers)
         assert len(result.failures) == 1
         failure = result.failures[0]
         assert (failure["variant"], failure["seed"]) == ("vanilla", 1)
@@ -917,6 +919,51 @@ class TestRunSweep:
         errors = [r for r in records if r.get("status") == "error"]
         assert len(errors) == 1
         assert errors[0]["error"].startswith("RuntimeError")
+        # Pooled and in-process runs write the same bytes: the header, then
+        # each cell's record in (variant, seed) order.
+        expected = [
+            {"kind": "header", "schema": 1, "config_hash": config_hash(small_config()),
+             "config": small_config()},
+            *({"kind": "cell", "variant": v, "seed": s, "status": "ok",
+               "path": f"traces/{v}_{s}.json"}
+              for v, s in [("robust", 0), ("robust", 1), ("vanilla", 0)]),
+            {"kind": "cell", "variant": "vanilla", "seed": 1, "status": "error",
+             "error": "RuntimeError: synthetic cell failure"},
+        ]
+        assert (tmp_path / "s" / "manifest.json").read_bytes() == b"".join(
+            (json.dumps(r, sort_keys=True, separators=(",", ":")) + "\n").encode()
+            for r in expected)
+
+    def test_last_record_of_a_cell_decides(self, tmp_path, capsys, monkeypatch):
+        # A later error record outranks an earlier ok one, even with the
+        # cell's trace file still on disk: the resume reruns the cell.
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(small_config()))
+        fresh, out = tmp_path / "fresh", tmp_path / "s"
+        for target in (fresh, out):
+            assert main(["run", "--config", str(cfg_path), "--out", str(target)]) == 0
+        with open(out / "manifest.json", "a") as fh:
+            fh.write('{"error":"RuntimeError: boom","kind":"cell","seed":0,'
+                     '"status":"error","variant":"robust"}\n')
+        assert (out / "traces" / "robust_0.json").exists()
+        capsys.readouterr()
+
+        calls = []
+        real = harness.run_cell
+
+        def counting(cfg, variant, seed, base_dir=None):
+            calls.append((variant, seed))
+            return real(cfg, variant, seed, base_dir)
+
+        monkeypatch.setattr(harness, "run_cell", counting)
+        assert main(["run", "--config", str(cfg_path), "--out", str(out), "--resume"]) == 0
+        assert calls == [("robust", 0)]
+        assert "FAILED" not in capsys.readouterr().err
+        records = [json.loads(line) for line in (out / "manifest.json").read_text().splitlines()]
+        robust_0 = [r for r in records if (r.get("variant"), r.get("seed")) == ("robust", 0)]
+        assert [r["status"] for r in robust_0] == ["ok"]
+        for rel in ("manifest.json", "traces/robust_0.json", "summary.csv"):
+            assert (out / rel).read_bytes() == (fresh / rel).read_bytes(), rel
 
     def test_rerun_ignores_stale_trace_of_failed_cell(self, tmp_path, monkeypatch):
         config = small_config()
