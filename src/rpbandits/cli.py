@@ -6,16 +6,16 @@ import math
 import os
 import sys
 
-from .env import NOISE_KINDS, generate_instance, save_instance
+from .env import NOISE_KINDS, generate_instance
 from .errors import BanditError, ConfigInvalid
 from .harness import (
+    atomic_write,
     emit_plotdata,
     load_sweep,
     run_sweep,
     summarize,
     summary_table,
     write_summary_csv,
-    writing,
 )
 from .seeding import INT_LABELS
 
@@ -110,8 +110,7 @@ def _cmd_gen_instance(args) -> int:
         noise=args.noise,
         theta_norm=args.theta_norm,
     )
-    with writing(args.out):
-        save_instance(instance, args.out)
+    atomic_write(args.out, json.dumps(instance.to_json_dict()).encode("utf-8"))
     best = instance.optimal_index
     print(f"wrote {args.out}: K={instance.actions.count} d={instance.actions.dim} "
           f"optimal arm {best}")

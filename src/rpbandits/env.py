@@ -27,7 +27,6 @@ batch is one float per play and one flag per client; under M1 the per-play
 floats become the reports in place.
 """
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -95,16 +94,6 @@ class BanditInstance:
             actions=ActionSet.from_json_dict(data["actions"]),
             noise=data.get("noise", "gaussian"),
         )
-
-
-def save_instance(instance: BanditInstance, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(instance.to_json_dict(), fh)
-
-
-def load_instance(path) -> BanditInstance:
-    with open(path) as fh:
-        return BanditInstance.from_json_dict(json.load(fh))
 
 
 def generate_instance(

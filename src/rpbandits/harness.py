@@ -22,13 +22,7 @@ from typing import get_args
 import numpy as np
 
 from .design import is_int, is_real, json_fields
-from .env import (
-    AdversaryConfig,
-    BanditInstance,
-    LearnerEnv,
-    generate_instance,
-    load_instance,
-)
+from .env import AdversaryConfig, BanditInstance, LearnerEnv, generate_instance
 from .errors import BanditError, ConfigInvalid
 from .policy import (
     RegretTrace,
@@ -120,9 +114,14 @@ def validate_config(config: dict) -> None:
         raise _invalid("checkpoints", f"{late[0]} is past the horizon {horizon}")
 
 
+def _canonical_json(data) -> bytes:
+    """Compact, sorted-key JSON: the bytes of a trace or manifest line
+    (plus a newline) and of what config_hash hashes."""
+    return json.dumps(data, sort_keys=True, separators=(",", ":")).encode("utf-8")
+
+
 def config_hash(config: dict) -> str:
-    canon = json.dumps(config, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canon.encode("utf-8")).hexdigest()
+    return hashlib.sha256(_canonical_json(config)).hexdigest()
 
 
 def resolve_instance(config: dict, base_dir: str | None = None) -> BanditInstance:
@@ -133,7 +132,8 @@ def resolve_instance(config: dict, base_dir: str | None = None) -> BanditInstanc
         path = source["file"]
         if base_dir is not None and not os.path.isabs(path):
             path = os.path.join(base_dir, path)
-        return load_instance(path)
+        with open(path) as fh:
+            return BanditInstance.from_json_dict(json.load(fh))
     return generate_instance(**source["generate"])
 
 
@@ -212,8 +212,7 @@ def run_cell(config: dict, variant: str, seed: int, base_dir: str | None = None)
 
 
 def trace_to_bytes(trace: RegretTrace) -> bytes:
-    data = json.dumps(trace.to_json_dict(), sort_keys=True, separators=(",", ":"))
-    return (data + "\n").encode("utf-8")
+    return _canonical_json(trace.to_json_dict()) + b"\n"
 
 
 @contextlib.contextmanager
@@ -225,7 +224,9 @@ def writing(path: str):
         raise BanditError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
-def _atomic_write(path: str, payload: bytes) -> None:
+def atomic_write(path: str, payload: bytes) -> None:
+    """Write payload to path whole or not at all: a temp file, fsync'd and
+    renamed over path.  Raises BanditError when path cannot be written."""
     tmp = path + ".tmp"
     with writing(path):
         fh = open(tmp, "wb")
@@ -340,7 +341,7 @@ def run_sweep(
               "config_hash": digest, "config": config}
     # Each cell's last record, or None; the keys keep (variant, seed) order.
     records: dict[tuple[str, int], dict | None] = dict.fromkeys(_cells_of(config))
-    if os.path.exists(manifest_path):
+    if os.path.isfile(manifest_path):
         prior, found = _read_manifest(manifest_path)
         # A manifest without a header can be started over, not resumed.
         if resume if prior is None else prior["config_hash"] != digest:
@@ -353,7 +354,7 @@ def run_sweep(
 
     def rewrite_manifest():
         lines = [header, *(rec for rec in records.values() if rec is not None)]
-        _atomic_write(manifest_path, b"".join(map(_manifest_line, lines)))
+        atomic_write(manifest_path, b"".join(_canonical_json(rec) + b"\n" for rec in lines))
 
     # Written whole before the first append, so that no record is appended
     # to the torn tail an interrupted append may have left.
@@ -367,11 +368,11 @@ def run_sweep(
         rec = {"kind": "cell", "variant": variant, "seed": seed}
         if error is None:
             rec.update(status="ok", path=os.path.join("traces", _trace_filename(variant, seed)))
-            _atomic_write(os.path.join(out_dir, rec["path"]), payload)
+            atomic_write(os.path.join(out_dir, rec["path"]), payload)
         else:
             rec.update(status="error", error=error)
-        with open(manifest_path, "ab") as fh:
-            fh.write(_manifest_line(rec))
+        with writing(manifest_path), open(manifest_path, "ab") as fh:
+            fh.write(_canonical_json(rec) + b"\n")
             fh.flush()
             os.fsync(fh.fileno())
         records[cell] = rec
@@ -387,11 +388,14 @@ def run_sweep(
         else:
             futs = {pool.submit(_cell_bytes, config, *cell, base_dir): cell for cell in pending}
             jobs = ((futs[fut], fut.result) for fut in concurrent.futures.as_completed(futs))
+        # Only the cell's own run can fail it; a file that cannot be written
+        # ends the sweep (BanditError, exit 2).
         for cell, thunk in jobs:
             try:
-                finish(cell, thunk(), None)
+                payload, error = thunk(), None
             except Exception as exc:  # noqa: BLE001 - recorded, not dropped
-                finish(cell, None, f"{type(exc).__name__}: {exc}")
+                payload, error = None, f"{type(exc).__name__}: {exc}"
+            finish(cell, payload, error)
 
     # Rewritten once more, so reruns of a finished sweep compare byte for byte.
     rewrite_manifest()
@@ -402,10 +406,6 @@ def run_sweep(
 
 def _cell_bytes(config: dict, variant: str, seed: int, base_dir: str | None) -> bytes:
     return trace_to_bytes(run_cell(config, variant, seed, base_dir))
-
-
-def _manifest_line(record: dict) -> bytes:
-    return (json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n").encode("utf-8")
 
 
 # The keys and JSON types of a manifest's records, and the keys each needs.
@@ -536,7 +536,7 @@ def write_summary_csv(rows: list[dict], path: str) -> None:
     lines = [",".join(SUMMARY_FIELDS)]
     for row in rows:
         lines.append(",".join(str(row[f]) for f in SUMMARY_FIELDS))
-    _atomic_write(path, ("\n".join(lines) + "\n").encode("utf-8"))
+    atomic_write(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def summary_table(rows: list[dict]) -> str:
@@ -565,5 +565,5 @@ def emit_plotdata(result: SweepResult, path: str) -> int:
                     f"{variant},{seed},{rec.cumulative_plays},{rec.cumulative_regret!r}"
                 )
                 count += 1
-    _atomic_write(path, ("\n".join(lines) + "\n").encode("utf-8"))
+    atomic_write(path, ("\n".join(lines) + "\n").encode("utf-8"))
     return count

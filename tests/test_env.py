@@ -18,9 +18,7 @@ from rpbandits.env import (
     BanditInstance,
     LearnerEnv,
     generate_instance,
-    load_instance,
     observe_batch,
-    save_instance,
 )
 from rpbandits.privacy import PrivacyParams, laplace_icdf, laplace_scale
 
@@ -72,14 +70,6 @@ class TestBanditInstance:
         np.testing.assert_array_equal(back.theta_star, inst.theta_star)
         np.testing.assert_array_equal(back.actions.vectors, inst.actions.vectors)
         assert back.noise == "uniform"
-
-    def test_save_load_file(self, tmp_path):
-        inst = generate_instance(dim=2, num_actions=5, seed=1)
-        path = tmp_path / "inst.json"
-        save_instance(inst, path)
-        back = load_instance(path)
-        np.testing.assert_array_equal(back.theta_star, inst.theta_star)
-        np.testing.assert_array_equal(back.actions.vectors, inst.actions.vectors)
 
     def test_generate_deterministic_in_seed(self):
         a = generate_instance(dim=4, num_actions=30, seed=7)

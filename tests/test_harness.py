@@ -29,7 +29,6 @@ from rpbandits.env import (
     STRATEGIES,
     AdversaryConfig,
     generate_instance,
-    save_instance,
 )
 from rpbandits.errors import CheckpointOutOfRange, ConfigInvalid
 from rpbandits.harness import (
@@ -67,6 +66,24 @@ def file_tree(root: Path) -> list:
     """Every path under root, with the bytes of each file."""
     return sorted((str(p.relative_to(root)), p.read_bytes() if p.is_file() else None)
                   for p in root.rglob("*"))
+
+
+def main_under_file_limit(argv: list[str], limit: int) -> subprocess.CompletedProcess:
+    """Run main(argv) in a child process that cannot grow a file past `limit`
+    bytes: RLIMIT_FSIZE, with SIGXFSZ ignored so such a write fails with
+    EFBIG.  The limit is the child's own and ends with it."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import resource, signal, sys\n"
+        "from rpbandits.cli import main\n"
+        "signal.signal(signal.SIGXFSZ, signal.SIG_IGN)\n"
+        "hard = resource.getrlimit(resource.RLIMIT_FSIZE)[1]\n"
+        f"resource.setrlimit(resource.RLIMIT_FSIZE, ({limit}, hard))\n"
+        f"sys.exit(main({argv!r}))\n"
+    )
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src),
+                               "PYTHONDONTWRITEBYTECODE": "1"})
 
 
 def small_config(**overrides):
@@ -210,7 +227,7 @@ class TestResolveInstance:
 
     def test_file_source_resolves_against_base_dir(self, tmp_path):
         direct = generate_instance(dim=2, num_actions=4, seed=1)
-        save_instance(direct, tmp_path / "inst.json")
+        (tmp_path / "inst.json").write_text(json.dumps(direct.to_json_dict()))
         config = small_config(instance={"file": "inst.json"})
         inst = resolve_instance(config, base_dir=str(tmp_path))
         np.testing.assert_array_equal(inst.theta_star, direct.theta_star)
@@ -450,6 +467,7 @@ MALFORMED = [
     inline_row("actions/actions", [["1", 0]]),  # new
     inline_row("actions/actions", [[True, 0.0]]),  # new
     inline_row("noise", 5),
+    inline_row("actions/dim", 3),  # rows of 2 numbers
     row("schedule", []),
     row("schedule/horizon", 2e2),  # new
     row("schedule/horizon", "200"), row("schedule/horizon", True),
@@ -1022,6 +1040,17 @@ class TestSummaries:
         golden = (DATA_DIR / "summary_golden.csv").read_bytes()
         assert produced == golden
 
+    def test_blank_lines_and_other_record_kinds_are_skipped(self, tmp_path):
+        out = tmp_path / "s"
+        run_sweep(small_config(), str(out))
+        assert main(["summarize", "--out", str(out)]) == 0
+        before = (out / "summary.csv").read_bytes()
+        header, *cells = (out / "manifest.json").read_bytes().splitlines(keepends=True)
+        (out / "manifest.json").write_bytes(
+            b"".join([header, b"\n", b'{"kind":"note"}\n', *cells, b"  \n"]))
+        assert main(["summarize", "--out", str(out)]) == 0
+        assert (out / "summary.csv").read_bytes() == before
+
     # Cumulative regrets are never -0.0, and the aggregate's sort keeps -0.0
     # and 0.0 in their input order where numpy's partition may not, so the
     # values drawn here have no -0.0 (x + 0.0 turns it into 0.0).
@@ -1122,11 +1151,23 @@ class TestCli:
         assert len(data["theta_star"]) == 2
         assert "wrote" in capsys.readouterr().out
 
+    def test_gen_instance_file_resolves_to_the_generated_instance(self, tmp_path):
+        path = tmp_path / "inst.json"
+        assert main(["gen-instance", "--dim", "3", "--num-actions", "7", "--seed", "5",
+                     "--noise", "uniform", "--theta-norm", "0.5", "--out", str(path)]) == 0
+        back = resolve_instance(small_config(instance={"file": str(path)}))
+        direct = generate_instance(dim=3, num_actions=7, seed=5, noise="uniform",
+                                   theta_norm=0.5)
+        assert back.theta_star.tobytes() == direct.theta_star.tobytes()
+        assert back.actions.vectors.tobytes() == direct.actions.vectors.tobytes()
+        assert back.noise == direct.noise == "uniform"
+        assert path.read_text() == json.dumps(direct.to_json_dict())
+
     def test_run_summarize_plotdata_pipeline(self, tmp_path, capsys):
         cfg_dir = tmp_path / "cfgs"
         cfg_dir.mkdir()
         inst = generate_instance(dim=2, num_actions=6, seed=3)
-        save_instance(inst, cfg_dir / "inst.json")
+        (cfg_dir / "inst.json").write_text(json.dumps(inst.to_json_dict()))
         config = small_config(instance={"file": "inst.json"})
         (cfg_dir / "run.json").write_text(json.dumps(config))
         out = tmp_path / "out"
@@ -1230,6 +1271,53 @@ class TestCli:
         assert capsys.readouterr().err == (
             f"error: cannot write {tmp_path / dest}: {os.strerror(code)}\n")
         assert file_tree(tmp_path) == before
+
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_gen_instance_past_the_file_limit_exits_2(self, tmp_path, existing):
+        # The instance JSON is about 20 kB; the file may not grow past 4 kB.
+        out = tmp_path / "inst.json"
+        if existing:
+            out.write_bytes(b"the bytes of an earlier instance\n")
+        before = file_tree(tmp_path)
+        proc = main_under_file_limit(["gen-instance", "--dim", "5", "--num-actions", "200",
+                                      "--out", str(out)], 4096)
+        assert proc.returncode == 2
+        assert proc.stderr == f"error: cannot write {out}: {os.strerror(errno.EFBIG)}\n"
+        assert file_tree(tmp_path) == before
+
+    def test_manifest_append_past_the_file_limit_exits_2(self, tmp_path):
+        # Each trace stays under 1.6 kB, while the manifest's 80 records
+        # pass 3 kB about 30 cells in.
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(small_config(seeds=40)))
+        out = tmp_path / "out"
+        proc = main_under_file_limit(["run", "--config", str(cfg_path), "--out", str(out)],
+                                     3000)
+        manifest = out / "manifest.json"
+        assert proc.returncode == 2
+        assert proc.stderr == f"error: cannot write {manifest}: {os.strerror(errno.EFBIG)}\n"
+        assert not (out / "summary.csv").exists()
+        # What the append left is a torn last line, which a resume ignores.
+        assert not manifest.read_bytes().endswith(b"\n")
+        fresh = tmp_path / "fresh"
+        for argv in (["--out", str(out), "--resume"], ["--out", str(fresh)]):
+            assert main(["run", "--config", str(cfg_path), *argv]) == 0
+        assert file_tree(out) == file_tree(fresh)
+
+    # A trace that cannot be written ends the sweep; it is no failed cell.
+    @pytest.mark.parametrize("name", ["manifest.json", "traces/robust_0.json"])
+    def test_directory_at_an_output_path_exits_2(self, tmp_path, capsys, name):
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(small_config()))
+        out = tmp_path / "out"
+        (out / name).mkdir(parents=True)
+        for resume in ([], ["--resume"]):
+            rc = main(["run", "--config", str(cfg_path), "--out", str(out), *resume])
+            assert rc == 2
+            assert capsys.readouterr().err == (
+                f"error: cannot write {out / name}: {os.strerror(errno.EISDIR)}\n")
+        written = [p.name for p in out.rglob("*") if p.is_file()]
+        assert written == ([] if name == "manifest.json" else ["manifest.json"])
 
     @pytest.mark.parametrize("command", ["summarize", "plot-data"])
     def test_directory_without_sweep_exits_2(self, tmp_path, capsys, command):

@@ -350,6 +350,14 @@ def test_single_action_reduces_to_projection():
     assert np.allclose(est, [3.0, 0.0, 0.0])
 
 
+@pytest.mark.parametrize("scale", [0.0, -1.0])
+def test_non_positive_clean_scale_rejected(scale):
+    actions = np.eye(2)
+    with pytest.raises(ValueError, match="clean_scale_sq must be positive"):
+        robust_least_squares(actions, singles(actions), np.ones(2), np.random.default_rng(0),
+                             actions, scale)
+
+
 def test_gram_attached_and_psd():
     rng = np.random.default_rng(10)
     A = unit_rows(rng, 30, 4)[rng.integers(0, 30, size=100)]

@@ -35,6 +35,11 @@ def test_bool_rejected():
         derive_entropy(True)
 
 
+def test_float_rejected():
+    with pytest.raises(TypeError, match="unsupported seed label type"):
+        derive_entropy(1.0)
+
+
 def test_rng_streams_reproducible():
     a = rng_from("x", 1).normal(size=5)
     b = rng_from("x", 1).normal(size=5)
