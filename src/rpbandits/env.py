@@ -17,14 +17,15 @@ averaged report instead; for a client of one play the two coincide.
 Randomness layout: every batch consumes one derived stream, drawing noise
 for every play, then corruption uniforms, then privacy uniforms, in that
 order.  A play's draws therefore live at fixed stream positions (its client
-slot), independent of processing order, which keeps batch generation
-parallelizable across clients with results identical to sequential
-execution.  The batch is processed stage by stage (noise, mask, privacy),
-all three stages over one plan of chunks of whole clients of at most
-PLAY_CHUNK plays, so a stage draws from the stream in the same order as one
-whole-batch draw while its temporaries stay bounded.  What scales with the
-batch is one float per play and one flag per client; under M1 the per-play
-floats become the reports in place.
+slot), independent of processing order, so results do not depend on how a
+batch is cut up.  Each stage runs over chunks of whole clients of at most
+PLAY_CHUNK plays, which bounds its temporaries, and draws in the same order
+as one whole-batch draw.  Each chunk gets a run plan, made once: the runs it
+spans and how many of each run's clients and plays it holds.  Per-play
+values (mean reward, the adversary's replacement, the Laplace scale) are
+per-run values repeated by those counts.  What scales with the batch is one
+float per play and one flag per client; under M1 the per-play floats are
+the reports, and no one-play client is averaged or reduced.
 """
 
 from dataclasses import dataclass
@@ -156,23 +157,16 @@ def _noise_draws(kind: str, size: int, rng: np.random.Generator) -> np.ndarray:
     return np.zeros(size)
 
 
-def _corrupt_values(
-    original: np.ndarray,
-    action_indices: np.ndarray,
-    adversary: AdversaryConfig,
-    worst_arm: int,
-) -> np.ndarray:
-    """Replacement values the adversary would report for each slot."""
-    c = adversary.magnitude
-    if adversary.strategy == "constant":
-        return np.full_like(original, c)
-    if adversary.strategy == "large-positive":
-        return np.full_like(original, abs(c))
-    if adversary.strategy == "sign-flip":
-        return -original
-    if adversary.strategy == "anti-optimal":
-        return np.where(action_indices == worst_arm, abs(c), -abs(c))
-    return original.copy()  # "none"
+def _replacements(adversary: AdversaryConfig, actions: np.ndarray, means: np.ndarray):
+    """Per-run value written over an intercepted observation, or None where
+    there is none: "none" keeps the value and "sign-flip" negates it."""
+    c = float(adversary.magnitude)
+    if adversary.strategy in ("constant", "large-positive"):
+        return np.full(actions.size, c if adversary.strategy == "constant" else abs(c))
+    if adversary.strategy == "anti-optimal" and actions.size:
+        # The worst arm among those played is boosted, every other one pushed down.
+        return np.where(actions == actions[means[actions].argmin()], abs(c), -abs(c))
+    return None
 
 
 # Plays per chunk of a batch, which bounds the temporaries of every stage: a
@@ -216,67 +210,73 @@ def _play(
 ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
     """Per-client (raw reward or None, corrupted flag, reported reward).
 
-    Three stages run over the whole batch one after another, noise, then
-    the adversary's mask, then privacy, each over the chunks of _chunks and
-    in place on one per-play and one per-client array, so a stage draws its
-    uniforms and noise in the same stream order as a single whole-batch
-    call.  When every client holds one play (M1) the two arrays are one.
+    The noise, mask and privacy stages run in turn over each chunk's run
+    plan (see the module docstring), in place on the per-play draws and the
+    per-client values; under M1 these are one array, and nothing is reduced.
     """
     actions, lengths, counts = coreset.runs()
     client_ends = np.cumsum(lengths)
     n_clients = int(lengths.sum())
     total = int(lengths @ counts)
-    chunks = _chunks(lengths, counts)
-    means = instance.mean_rewards
+    one_play = total == n_clients
+    # Each client's play count and first play; under M1 every count is 1.
+    n_a = 1 if one_play else np.repeat(counts, lengths)
+    first = None if one_play else np.cumsum(n_a) - n_a
+    plan = []
+    for c0, c1, p0, p1 in _chunks(lengths, counts):
+        r0, r1 = client_ends.searchsorted((c0, c1 - 1), side="right") + (0, 1)
+        ends = client_ends[r0:r1]
+        clients = np.minimum(ends, c1) - np.maximum(ends - lengths[r0:r1], c0)
+        plan.append((c0, c1, p0, p1, slice(r0, r1), clients, clients * counts[r0:r1]))
+    run_means = instance.mean_rewards[actions]
+    replacements = _replacements(adversary, actions, instance.mean_rewards)
     aggregate_mode = adversary.aggregate_corruption or adversary.corrupt_stage == "post-privacy"
-    worst = int(actions[means[actions].argmin()]) if actions.size else 0
 
-    def clients_of(c0, c1):
-        run = client_ends.searchsorted(np.arange(c0, c1), side="right")
-        n_a = counts[run]
-        return actions[run], n_a, np.cumsum(n_a) - n_a
+    def intercept(v, mask, r, reps):
+        if adversary.strategy == "sign-flip":
+            np.negative(v, out=v, where=mask)
+        elif replacements is not None:
+            np.copyto(v, np.repeat(replacements[r], reps), where=mask)
 
-    # Noise: every play's clean reward plus noise, then each client's mean.
+    # Noise: every play's clean reward plus noise, then each M2 client's mean.
     draws = np.empty(total)
-    values = draws if total == n_clients else np.empty(n_clients)
-    for c0, c1, p0, p1 in chunks:
-        acts, n_a, starts = clients_of(c0, c1)
-        draws[p0:p1] = means[np.repeat(acts, n_a)] + _noise_draws(instance.noise, p1 - p0, rng)
-        values[c0:c1] = np.add.reduceat(draws[p0:p1], starts) / n_a
+    values = draws if one_play else np.empty(n_clients)
+    for c0, c1, p0, p1, r, clients, plays in plan:
+        d = draws[p0:p1]
+        np.add(np.repeat(run_means[r], plays), _noise_draws(instance.noise, p1 - p0, rng), out=d)
+        if not one_play:
+            values[c0:c1] = np.add.reduceat(d, first[c0:c1] - p0) / n_a[c0:c1]
     raw = values.copy() if keep_raw else None
 
     # Mask: per raw draw by default, per report in aggregate mode.
     corrupted = np.zeros(n_clients, dtype=bool)
     if adversary.alpha > 0.0 and aggregate_mode:
-        for c0, c1, _, _ in chunks:
-            mask = rng.random(c1 - c0) >= 1.0 - adversary.alpha
-            corrupted[c0:c1] = mask
+        for c0, c1, _, _, r, clients, _ in plan:
+            corrupted[c0:c1] = rng.random(c1 - c0) >= 1.0 - adversary.alpha
             if adversary.corrupt_stage == "pre-privacy":
-                v = values[c0:c1]
-                replaced = _corrupt_values(v, clients_of(c0, c1)[0], adversary, worst)
-                v[:] = np.where(mask, replaced, v)
+                intercept(values[c0:c1], corrupted[c0:c1], r, clients)
     elif adversary.alpha > 0.0:
-        for c0, c1, p0, p1 in chunks:
-            acts, n_a, starts = clients_of(c0, c1)
-            mask = rng.random(p1 - p0) >= 1.0 - adversary.alpha
-            corrupted[c0:c1] = np.logical_or.reduceat(mask, starts)
+        for c0, c1, p0, p1, r, clients, plays in plan:
             d = draws[p0:p1]
-            d[:] = np.where(mask, _corrupt_values(d, np.repeat(acts, n_a), adversary, worst), d)
-            values[c0:c1] = np.add.reduceat(d, starts) / n_a
+            mask = rng.random(p1 - p0) >= 1.0 - adversary.alpha
+            intercept(d, mask, r, plays)
+            if one_play:
+                corrupted[c0:c1] = mask
+            else:
+                corrupted[c0:c1] = np.logical_or.reduceat(mask, first[c0:c1] - p0)
+                values[c0:c1] = np.add.reduceat(d, first[c0:c1] - p0) / n_a[c0:c1]
 
     # Privacy: each client sends its value, clipped if set, plus its Laplace
     # noise; under the post-privacy stage the adversary then corrupts it.
-    for c0, c1, _, _ in chunks:
-        acts, n_a, _ = clients_of(c0, c1)
-        released = values[c0:c1]
+    scale = laplace_scale(privacy, n_a) if privacy.enabled else None
+    for c0, c1, _, _, r, clients, _ in plan:
+        v = values[c0:c1]
         if privacy.clip is not None:
-            released = np.clip(released, -privacy.clip, privacy.clip)
+            np.clip(v, -privacy.clip, privacy.clip, out=v)
         if privacy.enabled:
-            released = released + laplace_icdf(rng.random(c1 - c0)) * laplace_scale(privacy, n_a)
+            v += laplace_icdf(rng.random(c1 - c0)) * (scale if one_play else scale[c0:c1])
         if adversary.corrupt_stage == "post-privacy":
-            released = np.where(corrupted[c0:c1],
-                                _corrupt_values(released, acts, adversary, worst), released)
-        values[c0:c1] = released
+            intercept(v, corrupted[c0:c1], r, clients)
     return raw, corrupted, values
 
 

@@ -333,7 +333,7 @@ def run_sweep(
         raise ConfigInvalid(f"config field instance/{source}: {exc}") from exc
     started = time.monotonic()
     with writing(out_dir):
-        os.makedirs(os.path.join(out_dir, "traces"), exist_ok=True)
+        os.makedirs(out_dir, exist_ok=True)
     manifest_path = os.path.join(out_dir, "manifest.json")
 
     digest = config_hash(config)
@@ -359,6 +359,8 @@ def run_sweep(
     # Written whole before the first append, so that no record is appended
     # to the torn tail an interrupted append may have left.
     rewrite_manifest()
+    with writing(os.path.join(out_dir, "traces")):
+        os.makedirs(os.path.join(out_dir, "traces"), exist_ok=True)
     pending = [cell for cell, rec in records.items()
                if not (rec and rec["status"] == "ok"
                        and os.path.exists(os.path.join(out_dir, rec["path"])))]
@@ -379,9 +381,10 @@ def run_sweep(
 
     # A pool forks all its processes at the first submit, so it gets no more
     # of them than there are cells to run, and none when no cell is left.
+    # When the sweep ends early, it drops the cells that have not started.
     pool = (concurrent.futures.ProcessPoolExecutor(max_workers=min(workers, len(pending)))
             if workers > 1 and pending else None)
-    with pool or contextlib.nullcontext():
+    try:
         if pool is None:
             jobs = ((cell, functools.partial(_cell_bytes, config, *cell, base_dir))
                     for cell in pending)
@@ -396,6 +399,9 @@ def run_sweep(
             except Exception as exc:  # noqa: BLE001 - recorded, not dropped
                 payload, error = None, f"{type(exc).__name__}: {exc}"
             finish(cell, payload, error)
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
 
     # Rewritten once more, so reruns of a finished sweep compare byte for byte.
     rewrite_manifest()

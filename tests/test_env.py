@@ -593,9 +593,9 @@ def test_observe_batch_matches_chunk_golden():
 @pytest.mark.parametrize("chunk", [PLAY_CHUNK, 5])
 def test_chunks_cover_whole_clients_within_the_bound(monkeypatch, chunk):
     # Every stage of a batch runs over _chunks' plan: per-play stages slice
-    # plays [p0, p1), per-client ones clients [c0, c1), and both reduceat a
-    # chunk's plays into its clients.  Runs of one-play clients (M1) are
-    # long, and runs of few clients hold more plays than a chunk (M2).
+    # plays [p0, p1), per-client ones clients [c0, c1), and under M2 both
+    # reduceat a chunk's plays into its clients.  Runs of one-play clients
+    # (M1) are long, and runs of few clients hold more plays than a chunk (M2).
     monkeypatch.setattr(env, "PLAY_CHUNK", chunk)
     rng = np.random.default_rng(0)
     for _ in range(300):
@@ -611,3 +611,30 @@ def test_chunks_cover_whole_clients_within_the_bound(monkeypatch, chunk):
             assert p1 - p0 <= chunk or c1 - c0 == 1
             c, p = c1, p1
         assert (c, p) == (lengths.sum(), client_ends[-1])
+
+
+def test_observe_batch_bytes_do_not_depend_on_the_chunk_size(monkeypatch):
+    # A chunk's run plan clips the first and last runs it spans to the
+    # clients and plays inside the chunk.  At PLAY_CHUNK = 5 or 7, M1 runs
+    # straddle chunk ends and M2 clients are both larger and smaller than a
+    # chunk; every array must keep the bytes of the same batch in one chunk.
+    rng = np.random.default_rng(5)
+    privacies = [NO_PRIVACY, PrivacyParams(epsilon=1.0), PrivacyParams(epsilon=0.5, clip=0.6)]
+    for trial, noise in enumerate(("gaussian", "uniform", "zero", "gaussian")):
+        theta = rng.standard_normal(6)
+        inst = basis_instance(theta / (1.01 * np.linalg.norm(theta)), noise=noise)
+        counts = rng.permutation(np.concatenate([rng.integers(1, 5, 2), rng.integers(8, 20, 2)]))
+        support = np.sort(rng.choice(6, counts.size, replace=False))
+        entries = [(int(i), int(n)) for i, n in zip(support, counts)]
+        for model, strategy, stage, aggregate, priv in itertools.product(
+                ("M1", "M2"), env.STRATEGIES, env.CORRUPT_STAGES, (False, True), privacies):
+            cs = Coreset(entries=entries, model=model)
+            adv = AdversaryConfig(alpha=0.2, strategy=strategy, magnitude=9.0,
+                                  corrupt_stage=stage, aggregate_corruption=aggregate)
+            played = {}
+            for chunk in (PLAY_CHUNK, 5, 7):
+                monkeypatch.setattr(env, "PLAY_CHUNK", chunk)
+                batch = observe_batch(inst, cs, adv, priv, np.random.default_rng(trial))
+                played[chunk] = [array_digest(a) for a in batch]
+            case = (entries, model, strategy, stage, aggregate, priv)
+            assert played[5] == played[PLAY_CHUNK] == played[7], case

@@ -68,14 +68,27 @@ def file_tree(root: Path) -> list:
                   for p in root.rglob("*"))
 
 
-def main_under_file_limit(argv: list[str], limit: int) -> subprocess.CompletedProcess:
+def main_under_file_limit(argv: list[str], limit: int,
+                          started: Path | None = None) -> subprocess.CompletedProcess:
     """Run main(argv) in a child process that cannot grow a file past `limit`
     bytes: RLIMIT_FSIZE, with SIGXFSZ ignored so such a write fails with
-    EFBIG.  The limit is the child's own and ends with it."""
+    EFBIG.  The limit is the child's own and ends with it.  With `started`
+    set, every run_cell call, in the child or in the pool processes it
+    forks, first appends one byte to that file."""
     src = Path(__file__).resolve().parents[1] / "src"
+    count = "" if started is None else (
+        "import rpbandits.harness as harness\n"
+        "run_cell = harness.run_cell\n"
+        "def counted(*args):\n"
+        f"    with open({str(started)!r}, 'ab') as fh:\n"
+        "        fh.write(b'.')\n"
+        "    return run_cell(*args)\n"
+        "harness.run_cell = counted\n"
+    )
     code = (
         "import resource, signal, sys\n"
         "from rpbandits.cli import main\n"
+        f"{count}"
         "signal.signal(signal.SIGXFSZ, signal.SIG_IGN)\n"
         "hard = resource.getrlimit(resource.RLIMIT_FSIZE)[1]\n"
         f"resource.setrlimit(resource.RLIMIT_FSIZE, ({limit}, hard))\n"
@@ -1304,6 +1317,23 @@ class TestCli:
             assert main(["run", "--config", str(cfg_path), *argv]) == 0
         assert file_tree(out) == file_tree(fresh)
 
+    def test_failed_write_in_a_pooled_sweep_runs_no_queued_cell(self, tmp_path):
+        # Every trace is over 1.3 kB and the manifest's header under 1 kB,
+        # so the first trace write ends the sweep.  The pool then drops the
+        # cells still queued rather than running all 80 before the exit.
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(small_config(seeds=40)))
+        out = tmp_path / "out"
+        started = tmp_path / "started"
+        proc = main_under_file_limit(["run", "--config", str(cfg_path), "--out", str(out),
+                                      "--workers", "2"], 1000, started)
+        assert proc.returncode == 2
+        traces = re.escape(str(out / "traces"))
+        assert re.fullmatch(rf"error: cannot write {traces}/\w+\.json: "
+                            rf"{os.strerror(errno.EFBIG)}\n", proc.stderr)
+        assert list((out / "traces").iterdir()) == []
+        assert 1 <= len(started.read_bytes()) < 40
+
     # A trace that cannot be written ends the sweep; it is no failed cell.
     @pytest.mark.parametrize("name", ["manifest.json", "traces/robust_0.json"])
     def test_directory_at_an_output_path_exits_2(self, tmp_path, capsys, name):
@@ -1311,6 +1341,7 @@ class TestCli:
         cfg_path.write_text(json.dumps(small_config()))
         out = tmp_path / "out"
         (out / name).mkdir(parents=True)
+        before = file_tree(tmp_path)
         for resume in ([], ["--resume"]):
             rc = main(["run", "--config", str(cfg_path), "--out", str(out), *resume])
             assert rc == 2
@@ -1318,6 +1349,8 @@ class TestCli:
                 f"error: cannot write {out / name}: {os.strerror(errno.EISDIR)}\n")
         written = [p.name for p in out.rglob("*") if p.is_file()]
         assert written == ([] if name == "manifest.json" else ["manifest.json"])
+        if name == "manifest.json":  # not even an empty traces/ is left
+            assert file_tree(tmp_path) == before
 
     @pytest.mark.parametrize("command", ["summarize", "plot-data"])
     def test_directory_without_sweep_exits_2(self, tmp_path, capsys, command):
