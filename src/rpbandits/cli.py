@@ -170,6 +170,9 @@ def main(argv: list[str] | None = None) -> int:
     except BanditError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

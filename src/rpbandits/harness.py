@@ -139,9 +139,7 @@ def resolve_instance(config: dict, base_dir: str | None = None) -> BanditInstanc
 
 def _seeds_of(config: dict) -> list[int]:
     seeds = config.get("seeds", 8)
-    if isinstance(seeds, int):
-        return list(range(seeds))
-    return list(seeds)
+    return list(range(seeds)) if isinstance(seeds, int) else list(seeds)
 
 
 def _variants_of(config: dict) -> list[str]:
@@ -192,11 +190,14 @@ def _sections(config: dict, variant: str = "robust"):
     return schedule, privacy, threshold, adversary
 
 
-def run_cell(config: dict, variant: str, seed: int, base_dir: str | None = None) -> RegretTrace:
-    """Run one (variant, seed) cell of a sweep."""
+def run_cell(config: dict, variant: str, seed: int,
+             instance: BanditInstance | None = None) -> RegretTrace:
+    """Run one (variant, seed) cell of a sweep on `instance`, by default the
+    one config resolves (a relative file path against the working directory)."""
     if variant not in VARIANTS:
         raise ConfigInvalid(f"unknown variant {variant!r}")
-    instance = resolve_instance(config, base_dir)
+    if instance is None:
+        instance = resolve_instance(config)
     schedule, privacy, cfg, adversary = _sections(config, variant)
 
     master = config.get("master_seed", 0)
@@ -260,9 +261,8 @@ class SweepResult:
 
 
 def _default_checkpoints(horizon: int) -> list[int]:
-    marks = sorted({max(1, horizon // 4), max(1, horizon // 2),
-                    max(1, (3 * horizon) // 4), horizon})
-    return marks
+    return sorted({max(1, horizon // 4), max(1, horizon // 2),
+                   max(1, (3 * horizon) // 4), horizon})
 
 
 def _percentile(ordered: list[float], q: float) -> float:
@@ -321,13 +321,16 @@ def run_sweep(
     resume=True.  A cell's last manifest record decides: the resume skips it
     when that record is ok and its trace file exists, and reruns it
     otherwise.  Failed cells are recorded in the manifest with their error
-    and reported in the result rather than silently dropped.  A config that
-    fails validation, or whose instance source cannot be built, raises
-    ConfigInvalid before anything is written.
+    and reported in the result rather than silently dropped.  The instance
+    source is read once, before anything is written: a config that fails
+    validation, or whose instance cannot be built, raises ConfigInvalid.
+    Every cell plays that one instance (a pool gets it with each cell), so
+    a `file` instance edited or deleted during or after the run changes
+    nothing in it; load_sweep never reads the instance.
     """
     validate_config(config)
     try:
-        resolve_instance(config, base_dir)
+        instance = resolve_instance(config, base_dir)
     except (OSError, TypeError, ValueError) as exc:
         source = next(iter(config["instance"]))
         raise ConfigInvalid(f"config field instance/{source}: {exc}") from exc
@@ -386,10 +389,10 @@ def run_sweep(
             if workers > 1 and pending else None)
     try:
         if pool is None:
-            jobs = ((cell, functools.partial(_cell_bytes, config, *cell, base_dir))
+            jobs = ((cell, functools.partial(_cell_bytes, config, *cell, instance))
                     for cell in pending)
         else:
-            futs = {pool.submit(_cell_bytes, config, *cell, base_dir): cell for cell in pending}
+            futs = {pool.submit(_cell_bytes, config, *cell, instance): cell for cell in pending}
             jobs = ((futs[fut], fut.result) for fut in concurrent.futures.as_completed(futs))
         # Only the cell's own run can fail it; a file that cannot be written
         # ends the sweep (BanditError, exit 2).
@@ -410,8 +413,8 @@ def run_sweep(
     return result
 
 
-def _cell_bytes(config: dict, variant: str, seed: int, base_dir: str | None) -> bytes:
-    return trace_to_bytes(run_cell(config, variant, seed, base_dir))
+def _cell_bytes(config: dict, variant: str, seed: int, instance: BanditInstance) -> bytes:
+    return trace_to_bytes(run_cell(config, variant, seed, instance))
 
 
 # The keys and JSON types of a manifest's records, and the keys each needs.
@@ -539,9 +542,8 @@ def summarize(result: SweepResult, checkpoints: list[int] | None = None) -> list
 
 
 def write_summary_csv(rows: list[dict], path: str) -> None:
-    lines = [",".join(SUMMARY_FIELDS)]
-    for row in rows:
-        lines.append(",".join(str(row[f]) for f in SUMMARY_FIELDS))
+    lines = [",".join(SUMMARY_FIELDS),
+             *(",".join(str(row[f]) for f in SUMMARY_FIELDS) for row in rows)]
     atomic_write(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
@@ -560,16 +562,10 @@ def summary_table(rows: list[dict]) -> str:
 def emit_plotdata(result: SweepResult, path: str) -> int:
     """Write long-format per-round regret curves; returns the row count."""
     lines = [PLOTDATA_HEADER]
-    count = 0
     for variant in result.variants:
         for seed in result.seeds:
             trace = result.traces.get((variant, seed))
-            if trace is None:
-                continue
-            for rec in trace.rounds:
-                lines.append(
-                    f"{variant},{seed},{rec.cumulative_plays},{rec.cumulative_regret!r}"
-                )
-                count += 1
+            lines += [f"{variant},{seed},{rec.cumulative_plays},{rec.cumulative_regret!r}"
+                      for rec in (trace.rounds if trace is not None else [])]
     atomic_write(path, ("\n".join(lines) + "\n").encode("utf-8"))
-    return count
+    return len(lines) - 1

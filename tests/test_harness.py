@@ -2,14 +2,17 @@
 and the CLI entry points."""
 
 import concurrent.futures
+import contextlib
 import dataclasses
 import errno
 import json
 import os
 import re
+import signal
 import statistics
 import subprocess
 import sys
+import time
 import tracemalloc
 from collections import OrderedDict
 from pathlib import Path
@@ -806,9 +809,9 @@ class TestRunSweep:
         calls = []
         real = harness.run_cell
 
-        def counting(cfg, variant, seed, base_dir=None):
+        def counting(cfg, variant, seed, instance=None):
             calls.append((variant, seed))
-            return real(cfg, variant, seed, base_dir)
+            return real(cfg, variant, seed, instance)
 
         monkeypatch.setattr(harness, "run_cell", counting)
 
@@ -902,6 +905,41 @@ class TestRunSweep:
                 tmp_path / "par" / rel
             ).read_bytes(), rel
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_every_cell_plays_the_instance_the_sweep_read(self, tmp_path, monkeypatch,
+                                                           workers):
+        # The first run_cell to create `marker`, in this process or in a
+        # forked pool worker, rewrites the instance file after its own run.
+        # The sweep read the file once, at its start, so no trace moves.
+        inst = tmp_path / "inst.json"
+        inst.write_text(json.dumps(generate_instance(dim=2, num_actions=6, seed=3)
+                                   .to_json_dict()))
+        config = small_config(instance={"file": "inst.json"})
+        run_sweep(config, str(tmp_path / "clean"), base_dir=str(tmp_path))
+        other = json.dumps(generate_instance(dim=2, num_actions=6, seed=4).to_json_dict())
+        marker, resolved = tmp_path / "marker", tmp_path / "resolved"
+        run_cell, resolve = harness.run_cell, harness.resolve_instance
+
+        def rewriting(*args):
+            trace = run_cell(*args)
+            with contextlib.suppress(FileExistsError):
+                os.close(os.open(marker, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
+                (tmp_path / "inst.new").write_text(other)
+                os.replace(tmp_path / "inst.new", inst)
+            return trace
+
+        def counted(*args):
+            with open(resolved, "ab") as fh:
+                fh.write(b".")
+            return resolve(*args)
+
+        monkeypatch.setattr(harness, "run_cell", rewriting)
+        monkeypatch.setattr(harness, "resolve_instance", counted)
+        run_sweep(config, str(tmp_path / "s"), workers=workers, base_dir=str(tmp_path))
+        assert inst.read_text() == other
+        assert resolved.read_bytes() == b"."
+        assert file_tree(tmp_path / "s") == file_tree(tmp_path / "clean")
+
     def test_pool_is_sized_to_pending_cells(self, tmp_path, monkeypatch):
         real = concurrent.futures.ProcessPoolExecutor
         sizes = []
@@ -927,10 +965,10 @@ class TestRunSweep:
     def test_partial_failure_is_recorded_not_raised(self, tmp_path, monkeypatch, workers):
         real = harness.run_cell
 
-        def flaky(cfg, variant, seed, base_dir=None):
+        def flaky(cfg, variant, seed, instance=None):
             if (variant, seed) == ("vanilla", 1):
                 raise RuntimeError("synthetic cell failure")
-            return real(cfg, variant, seed, base_dir)
+            return real(cfg, variant, seed, instance)
 
         # Forked pool workers inherit the patched run_cell.
         monkeypatch.setattr(harness, "run_cell", flaky)
@@ -982,9 +1020,9 @@ class TestRunSweep:
         calls = []
         real = harness.run_cell
 
-        def counting(cfg, variant, seed, base_dir=None):
+        def counting(cfg, variant, seed, instance=None):
             calls.append((variant, seed))
-            return real(cfg, variant, seed, base_dir)
+            return real(cfg, variant, seed, instance)
 
         monkeypatch.setattr(harness, "run_cell", counting)
         assert main(["run", "--config", str(cfg_path), "--out", str(out), "--resume"]) == 0
@@ -1007,10 +1045,10 @@ class TestRunSweep:
 
         real = harness.run_cell
 
-        def flaky(cfg, variant, seed, base_dir=None):
+        def flaky(cfg, variant, seed, instance=None):
             if (variant, seed) == ("vanilla", 1):
                 raise RuntimeError("synthetic cell failure")
-            return real(cfg, variant, seed, base_dir)
+            return real(cfg, variant, seed, instance)
 
         monkeypatch.setattr(harness, "run_cell", flaky)
         result = run_sweep(config, str(out))
@@ -1334,6 +1372,32 @@ class TestCli:
         assert list((out / "traces").iterdir()) == []
         assert 1 <= len(started.read_bytes()) < 40
 
+    def test_interrupt_exits_130_and_the_resume_finishes(self, tmp_path):
+        # SIGINT to a pooled run once a cell is recorded: one error line,
+        # no traceback, exit 130; the resume then writes a clean sweep's files.
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(small_config(seeds=150)))
+        out, fresh = tmp_path / "out", tmp_path / "fresh"
+        argv = ["run", "--config", str(cfg_path), "--out", str(out), "--workers", "2"]
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.Popen(
+            [sys.executable, "-c", f"import sys\nfrom rpbandits.cli import main\n"
+                                   f"sys.exit(main({argv!r}))\n"],
+            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+            env={**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"})
+        manifest, deadline = out / "manifest.json", time.monotonic() + 60
+        while not (manifest.exists() and b'"kind":"cell"' in manifest.read_bytes()):
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.005)
+        proc.send_signal(signal.SIGINT)
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 130
+        assert err == "error: interrupted\n"
+        assert not (out / "summary.csv").exists()
+        assert main([*argv, "--resume"]) == 0
+        assert main(["run", "--config", str(cfg_path), "--out", str(fresh)]) == 0
+        assert file_tree(out) == file_tree(fresh)
+
     # A trace that cannot be written ends the sweep; it is no failed cell.
     @pytest.mark.parametrize("name", ["manifest.json", "traces/robust_0.json"])
     def test_directory_at_an_output_path_exits_2(self, tmp_path, capsys, name):
@@ -1447,7 +1511,7 @@ class TestCli:
         assert rc == 0
 
     def test_failed_cells_exit_1(self, tmp_path, capsys, monkeypatch):
-        def failing(cfg, variant, seed, base_dir=None):
+        def failing(cfg, variant, seed, instance=None):
             raise RuntimeError("synthetic cell failure")
 
         monkeypatch.setattr(harness, "run_cell", failing)
