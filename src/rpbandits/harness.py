@@ -11,6 +11,7 @@ import concurrent.futures
 import contextlib
 import functools
 import hashlib
+import itertools
 import json
 import os
 import statistics
@@ -84,9 +85,12 @@ def _check_object(path: str, data, kinds: dict, required: tuple = ()) -> None:
         raise _invalid(f"{path}/{key}".strip("/"), message)
 
 
-def validate_config(config: dict) -> None:
+def validate_config(config: dict) -> tuple[list[str], list[int], list[int]]:
     """Check a config's keys, their JSON types and the sweep's own rules, and
-    build its sections; raises ConfigInvalid with a field path."""
+    build its sections; raises ConfigInvalid with a field path.  Returns the
+    sweep's variants ("robust", then the baselines), seeds and checkpoints,
+    with the default of each key the config omits; run_sweep and load_sweep
+    read them from here and nowhere else."""
     _check_object("", config, CONFIG_KEYS, REQUIRED_KEYS)
     if config["version"] != CONFIG_VERSION:
         raise _invalid("version", f"need {CONFIG_VERSION}, got {config['version']!r}")
@@ -100,18 +104,19 @@ def validate_config(config: dict) -> None:
             and 0 < len(set(seeds)) == len(seeds)):
         raise _invalid("seeds", f"need a count in [1, {sys.maxsize}] or distinct {_SEEDS}, "
                                 f"got {seeds!r}")
-    if config.get("master_seed", 0) not in INT_LABELS:
-        raise _invalid("master_seed", f"need one of the {_SEEDS}, got {config['master_seed']!r}")
     baselines = config.get("baselines", [])
     if not (all(b in VARIANTS[1:] for b in baselines) and len(set(baselines)) == len(baselines)):
         raise _invalid("baselines", f"need distinct variants of {VARIANTS[1:]}, got {baselines!r}")
-    checkpoints = config.get("checkpoints", [0])
+    horizon = _sections(config)[0].horizon
+    quarters = sorted({max(1, horizon * q // 4) for q in (1, 2, 3, 4)})
+    checkpoints = config.get("checkpoints", quarters)
     if not (checkpoints and all(is_int(c) and c >= 0 for c in checkpoints)):
         raise _invalid("checkpoints", f"need play counts >= 0, got {checkpoints!r}")
-    horizon = _sections(config)[0].horizon
     late = [c for c in checkpoints if c > horizon]
     if late:
         raise _invalid("checkpoints", f"{late[0]} is past the horizon {horizon}")
+    return (["robust", *baselines], list(range(seeds)) if is_int(seeds) else list(seeds),
+            list(checkpoints))
 
 
 def _canonical_json(data) -> bytes:
@@ -137,19 +142,6 @@ def resolve_instance(config: dict, base_dir: str | None = None) -> BanditInstanc
     return generate_instance(**source["generate"])
 
 
-def _seeds_of(config: dict) -> list[int]:
-    seeds = config.get("seeds", 8)
-    return list(range(seeds)) if isinstance(seeds, int) else list(seeds)
-
-
-def _variants_of(config: dict) -> list[str]:
-    return ["robust"] + list(config.get("baselines", []))
-
-
-def _cells_of(config: dict) -> list[tuple[str, int]]:
-    return [(v, s) for v in _variants_of(config) for s in _seeds_of(config)]
-
-
 def _section(config: dict, name: str, cls, required: tuple = (), linked=()) -> dict:
     """config[name] ({} when absent), checked to hold every `required` key and
     no key but cls's fields other than `linked`, each of its field's type."""
@@ -171,7 +163,11 @@ def _build(cls, section: str, values: dict, **linked):
 
 
 def _sections(config: dict, variant: str = "robust"):
-    """The (Schedule, PrivacyParams, ThresholdConfig, AdversaryConfig) of a cell."""
+    """The (Schedule, PrivacyParams, ThresholdConfig, AdversaryConfig, master
+    seed) of a cell."""
+    master = config.get("master_seed", 0)
+    if master not in INT_LABELS:
+        raise _invalid("master_seed", f"need one of the {_SEEDS}, got {master!r}")
     sched = _section(config, "schedule", Schedule, ("horizon",))
     schedule = _build(Schedule, "schedule",
                       {"num_rounds": default_num_rounds(sched["horizon"]), **sched})
@@ -187,7 +183,7 @@ def _sections(config: dict, variant: str = "robust"):
                        **linked)
     adversary = _build(AdversaryConfig, "adversary",
                        _section(config, "adversary", AdversaryConfig))
-    return schedule, privacy, threshold, adversary
+    return schedule, privacy, threshold, adversary, master
 
 
 def run_cell(config: dict, variant: str, seed: int,
@@ -198,9 +194,7 @@ def run_cell(config: dict, variant: str, seed: int,
         raise ConfigInvalid(f"unknown variant {variant!r}")
     if instance is None:
         instance = resolve_instance(config)
-    schedule, privacy, cfg, adversary = _sections(config, variant)
-
-    master = config.get("master_seed", 0)
+    schedule, privacy, cfg, adversary, master = _sections(config, variant)
     env = LearnerEnv(instance, adversary, seed_sequence(master, seed, variant, "env"))
     policy_rng = rng_from(master, seed, variant, "policy")
     runner = {
@@ -260,11 +254,6 @@ class SweepResult:
     wall_clock_s: float
 
 
-def _default_checkpoints(horizon: int) -> list[int]:
-    return sorted({max(1, horizon // 4), max(1, horizon // 2),
-                   max(1, (3 * horizon) // 4), horizon})
-
-
 def _percentile(ordered: list[float], q: float) -> float:
     """np.percentile(ordered, q) of sorted floats, bit for bit: numpy's linear
     method and its _lerp.  np.percentile and np.median import numpy.ma, which
@@ -316,9 +305,10 @@ def run_sweep(
 ) -> SweepResult:
     """Run all (variant, seed) cells, writing traces and a manifest to out_dir.
 
-    Each finished cell is durably written (temp file + rename + manifest
-    append) before the sweep moves on, so a crashed sweep can be resumed with
-    resume=True.  A cell's last manifest record decides: the resume skips it
+    The cells are validate_config's variants times its seeds, in that
+    order, and the result aggregates at its checkpoints.  Each finished
+    cell is durably written (temp file + rename + manifest append) before
+    the sweep moves on, so a crashed sweep can be resumed with resume=True.  A cell's last manifest record decides: the resume skips it
     when that record is ok and its trace file exists, and reruns it
     otherwise.  Failed cells are recorded in the manifest with their error
     and reported in the result rather than silently dropped.  The instance
@@ -328,7 +318,7 @@ def run_sweep(
     a `file` instance edited or deleted during or after the run changes
     nothing in it; load_sweep never reads the instance.
     """
-    validate_config(config)
+    variants, seeds, checkpoints = validate_config(config)
     try:
         instance = resolve_instance(config, base_dir)
     except (OSError, TypeError, ValueError) as exc:
@@ -343,7 +333,8 @@ def run_sweep(
     header = {"kind": "header", "schema": CONFIG_VERSION,
               "config_hash": digest, "config": config}
     # Each cell's last record, or None; the keys keep (variant, seed) order.
-    records: dict[tuple[str, int], dict | None] = dict.fromkeys(_cells_of(config))
+    records: dict[tuple[str, int], dict | None] = dict.fromkeys(
+        itertools.product(variants, seeds))
     if os.path.isfile(manifest_path):
         prior, found = _read_manifest(manifest_path)
         # A manifest without a header can be started over, not resumed.
@@ -408,7 +399,7 @@ def run_sweep(
 
     # Rewritten once more, so reruns of a finished sweep compare byte for byte.
     rewrite_manifest()
-    result = _sweep_result(out_dir, config, records)
+    result = _sweep_result(out_dir, config, records, variants, seeds, checkpoints)
     result.wall_clock_s = time.monotonic() - started
     return result
 
@@ -468,14 +459,16 @@ def _read_manifest(path: str) -> tuple[dict | None, dict[tuple[str, int], dict]]
     return header, cells
 
 
-def _sweep_result(out_dir: str, config: dict, records: dict) -> SweepResult:
-    """Load and aggregate the cells whose last manifest record is ok.
+def _sweep_result(out_dir: str, config: dict, records: dict, variants: list[str],
+                  seeds: list[int], checkpoints: list[int]) -> SweepResult:
+    """Load and aggregate the config's cells whose last manifest record is ok.
 
-    Only those count: a trace file left over from an earlier run of a cell
+    Only those count, in (variant, seed) order; a record of any other cell
+    is ignored, and a trace file left over from an earlier run of a cell
     that has since failed is stale.  An ok cell whose trace file is missing
     or is not a trace raises ConfigInvalid.
     """
-    cells = [records[c] for c in _cells_of(config) if records.get(c)]
+    cells = [records[c] for c in itertools.product(variants, seeds) if records.get(c)]
     traces: dict[tuple[str, int], RegretTrace] = {}
     for cell in cells:
         if cell["status"] == "ok":
@@ -486,13 +479,10 @@ def _sweep_result(out_dir: str, config: dict, records: dict) -> SweepResult:
             except (OSError, ValueError, KeyError, TypeError) as exc:
                 raise ConfigInvalid(f"no trace in {path}: {type(exc).__name__}: {exc}") from exc
             traces[(cell["variant"], cell["seed"])] = trace
-    variants = _variants_of(config)
-    seeds = _seeds_of(config)
-    checkpoints = config.get("checkpoints", _default_checkpoints(config["schedule"]["horizon"]))
     stats, survival = _aggregate(traces, variants, seeds, checkpoints)
     return SweepResult(
         out_dir=out_dir, config=config, variants=variants, seeds=seeds,
-        checkpoints=list(checkpoints), traces=traces, stats=stats,
+        checkpoints=checkpoints, traces=traces, stats=stats,
         survival=survival, failures=[c for c in cells if c["status"] != "ok"],
         wall_clock_s=0.0,
     )
@@ -507,8 +497,7 @@ def load_sweep(out_dir: str) -> SweepResult:
     if header is None:
         raise ConfigInvalid(f"no manifest header found under {out_dir}")
     config = header["config"]
-    validate_config(config)
-    return _sweep_result(out_dir, config, records)
+    return _sweep_result(out_dir, config, records, *validate_config(config))
 
 
 SUMMARY_FIELDS = ["variant", "checkpoint", "n_seeds", "mean_regret",

@@ -175,6 +175,16 @@ class TestConfigValidation:
         with pytest.raises(ConfigInvalid, match="version"):
             validate_config(small_config(version=2))
 
+    def test_returns_the_sweep_with_its_defaults(self):
+        config = small_config()
+        for key in ("seeds", "baselines", "checkpoints"):
+            config.pop(key, None)
+        assert validate_config(config) == (["robust"], list(range(8)), [50, 100, 150, 200])
+        given = small_config(seeds=[5, 2], baselines=["non-robust", "vanilla"],
+                             checkpoints=[200, 10])
+        assert validate_config(given) == (["robust", "non-robust", "vanilla"], [5, 2],
+                                          [200, 10])
+
 
 class TestSectionKeys:
     """A section's keys and JSON types are its dataclass's fields, less the
@@ -269,6 +279,8 @@ def with_defaults_written_out(config: dict) -> dict:
     gen = full["instance"]["generate"]
     full["instance"]["generate"] = {**OPTIONAL_DEFAULTS["generate"], **gen}
     full.setdefault("master_seed", 0)
+    horizon = full["schedule"]["horizon"]
+    full.setdefault("checkpoints", [horizon // 4, horizon // 2, 3 * horizon // 4, horizon])
     return full
 
 
@@ -343,8 +355,7 @@ class TestConfigDefaults:
             config["threshold"] = dict(M2_THRESHOLD)
         full = with_defaults_written_out(config)
         assert full != config
-        validate_config(config)
-        validate_config(full)
+        assert validate_config(config) == validate_config(full)
         for variant in harness.VARIANTS:
             assert trace_to_bytes(run_cell(config, variant, 0)) == trace_to_bytes(
                 run_cell(full, variant, 0)
@@ -591,9 +602,10 @@ class TestMalformedConfig:
 
     @pytest.mark.parametrize("config", ADMITTED)
     def test_admitted_edges_run(self, tmp_path, config):
+        variants, seeds, _ = validate_config(config)
         result = run_sweep(config, str(tmp_path / "out"))
         assert not result.failures
-        assert len(result.traces) == len(harness._cells_of(config))
+        assert len(result.traces) == len(variants) * len(seeds)
 
     @pytest.mark.parametrize("content", ["", "{", '{"version": 1,}'])
     def test_unparsable_config_file_exits_2(self, tmp_path, capsys, content):
@@ -1101,6 +1113,27 @@ class TestSummaries:
             b"".join([header, b"\n", b'{"kind":"note"}\n', *cells, b"  \n"]))
         assert main(["summarize", "--out", str(out)]) == 0
         assert (out / "summary.csv").read_bytes() == before
+
+    def test_records_of_other_cells_are_ignored(self, tmp_path):
+        out = tmp_path / "s"
+        run_sweep(small_config(), str(out))
+
+        def written() -> list[bytes]:
+            assert main(["summarize", "--out", str(out)]) == 0
+            assert main(["plot-data", "--out", str(out)]) == 0
+            return [(out / name).read_bytes() for name in ("summary.csv", "plotdata.csv")]
+
+        before = written()
+        # Seed 2 is outside the config's seeds 0 and 1; its trace is a real one.
+        (out / "traces" / "robust_2.json").write_bytes(
+            (out / "traces" / "robust_0.json").read_bytes())
+        with open(out / "manifest.json", "ab") as fh:
+            fh.write(b'{"kind":"cell","path":"traces/robust_2.json","seed":2,'
+                     b'"status":"ok","variant":"robust"}\n'
+                     b'{"error":"E","kind":"cell","seed":3,"status":"error",'
+                     b'"variant":"vanilla"}\n')
+        assert written() == before
+        assert load_sweep(str(out)).seeds == [0, 1]
 
     # Cumulative regrets are never -0.0, and the aggregate's sort keeps -0.0
     # and 0.0 in their input order where numpy's partition may not, so the
