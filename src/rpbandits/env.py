@@ -23,7 +23,8 @@ PLAY_CHUNK plays, which bounds its temporaries, and draws in the same order
 as one whole-batch draw.  Each chunk gets a run plan, made once: the runs it
 spans and how many of each run's clients and plays it holds.  Per-play
 values (mean reward, the adversary's replacement, the Laplace scale) are
-per-run values repeated by those counts.  What scales with the batch is one
+per-run values repeated by those counts; a chunk inside one run takes the
+run's mean and replacement as scalars.  What scales with the batch is one
 float per play and one flag per client; under M1 the per-play floats are
 the reports, and no one-play client is averaged or reduced.
 """
@@ -149,12 +150,11 @@ class AdversaryConfig:
             raise ValueError(f"corrupt_stage must be one of {CORRUPT_STAGES}")
 
 
-def _noise_draws(kind: str, size: int, rng: np.random.Generator) -> np.ndarray:
+def _draw_noise(kind: str, out: np.ndarray, rng: np.random.Generator) -> None:
     if kind == "gaussian":
-        return rng.standard_normal(size)
-    if kind == "uniform":
-        return rng.uniform(-1.0, 1.0, size)
-    return np.zeros(size)
+        rng.standard_normal(out=out)
+    else:
+        out[:] = rng.uniform(-1.0, 1.0, out.size) if kind == "uniform" else 0.0
 
 
 def _replacements(adversary: AdversaryConfig, actions: np.ndarray, means: np.ndarray):
@@ -231,20 +231,27 @@ def _play(
     run_means = instance.mean_rewards[actions]
     replacements = _replacements(adversary, actions, instance.mean_rewards)
     aggregate_mode = adversary.aggregate_corruption or adversary.corrupt_stage == "post-privacy"
+    per_draw = adversary.alpha > 0.0 and not aggregate_mode
+
+    def per_play(per_run, r, reps):
+        # A chunk inside one run takes that run's value as a scalar.
+        return per_run[r.start] if r.stop - r.start == 1 else np.repeat(per_run[r], reps)
 
     def intercept(v, mask, r, reps):
         if adversary.strategy == "sign-flip":
-            np.negative(v, out=v, where=mask)
+            np.putmask(v, mask, -v)
         elif replacements is not None:
-            np.copyto(v, np.repeat(replacements[r], reps), where=mask)
+            np.putmask(v, mask, per_play(replacements, r, reps))
 
-    # Noise: every play's clean reward plus noise, then each M2 client's mean.
+    # Noise: every play's noise, drawn in place, plus its clean reward; then
+    # each M2 client's mean, unless per-draw corruption recomputes it below.
     draws = np.empty(total)
     values = draws if one_play else np.empty(n_clients)
     for c0, c1, p0, p1, r, clients, plays in plan:
         d = draws[p0:p1]
-        np.add(np.repeat(run_means[r], plays), _noise_draws(instance.noise, p1 - p0, rng), out=d)
-        if not one_play:
+        _draw_noise(instance.noise, d, rng)
+        d += per_play(run_means, r, plays)
+        if not (one_play or per_draw and not keep_raw):
             values[c0:c1] = np.add.reduceat(d, first[c0:c1] - p0) / n_a[c0:c1]
     raw = values.copy() if keep_raw else None
 
@@ -255,7 +262,7 @@ def _play(
             corrupted[c0:c1] = rng.random(c1 - c0) >= 1.0 - adversary.alpha
             if adversary.corrupt_stage == "pre-privacy":
                 intercept(values[c0:c1], corrupted[c0:c1], r, clients)
-    elif adversary.alpha > 0.0:
+    elif per_draw:
         for c0, c1, p0, p1, r, clients, plays in plan:
             d = draws[p0:p1]
             mask = rng.random(p1 - p0) >= 1.0 - adversary.alpha
@@ -274,7 +281,8 @@ def _play(
         if privacy.clip is not None:
             np.clip(v, -privacy.clip, privacy.clip, out=v)
         if privacy.enabled:
-            v += laplace_icdf(rng.random(c1 - c0)) * (scale if one_play else scale[c0:c1])
+            noise = laplace_icdf(rng.random(c1 - c0))
+            v += np.multiply(noise, scale if one_play else scale[c0:c1], out=noise)
         if adversary.corrupt_stage == "post-privacy":
             intercept(v, corrupted[c0:c1], r, clients)
     return raw, corrupted, values

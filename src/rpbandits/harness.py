@@ -346,9 +346,13 @@ def run_sweep(
         if resume:
             records = {cell: found.get(cell) for cell in records}
 
+    written: list[bytes] = []  # the manifest's lines, as this sweep wrote them
+
     def rewrite_manifest():
-        lines = [header, *(rec for rec in records.values() if rec is not None)]
-        atomic_write(manifest_path, b"".join(_canonical_json(rec) + b"\n" for rec in lines))
+        lines = [_canonical_json(rec) + b"\n" for rec in (header, *records.values()) if rec]
+        if lines != written:
+            atomic_write(manifest_path, b"".join(lines))
+            written[:] = lines
 
     # Written whole before the first append, so that no record is appended
     # to the torn tail an interrupted append may have left.
@@ -367,10 +371,12 @@ def run_sweep(
             atomic_write(os.path.join(out_dir, rec["path"]), payload)
         else:
             rec.update(status="error", error=error)
+        line = _canonical_json(rec) + b"\n"
         with writing(manifest_path), open(manifest_path, "ab") as fh:
-            fh.write(_canonical_json(rec) + b"\n")
+            fh.write(line)
             fh.flush()
             os.fsync(fh.fileno())
+        written.append(line)
         records[cell] = rec
 
     # A pool forks all its processes at the first submit, so it gets no more
@@ -397,7 +403,8 @@ def run_sweep(
         if pool is not None:
             pool.shutdown(cancel_futures=True)
 
-    # Rewritten once more, so reruns of a finished sweep compare byte for byte.
+    # Rewritten in cell order, so reruns of a finished sweep compare byte for
+    # byte; a pool's completion order or a resume's reruns can leave another.
     rewrite_manifest()
     result = _sweep_result(out_dir, config, records, variants, seeds, checkpoints)
     result.wall_clock_s = time.monotonic() - started

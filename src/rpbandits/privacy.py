@@ -36,11 +36,12 @@ class PrivacyParams:
 def laplace_icdf(u: np.ndarray) -> np.ndarray:
     """Inverse CDF of the zero-mean, unit-scale Laplace distribution, elementwise.
 
-    u = 0.5 maps to 0; u in the upper half maps to -log(2(1-u)).  A client's
-    noise is this times its scale (see laplace_scale).
+    u < 0.5 maps to log(2u), u = 0.5 to -0.0 and u > 0.5 to -log(2(1-u)), with
+    one log per element.  A client's noise is this times its scale (see
+    laplace_scale).
     """
     u = np.clip(u, 1e-300, 1.0 - 1e-16)
-    return np.where(u >= 0.5, -np.log(2.0 * (1.0 - u)), np.log(2.0 * u))
+    return np.log(2.0 * np.minimum(u, 1.0 - u)) * (1.0 - 2.0 * (u >= 0.5))
 
 
 def laplace_scale(params: PrivacyParams, n_a: int | np.ndarray) -> float | np.ndarray:

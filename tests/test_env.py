@@ -461,6 +461,28 @@ class TestLearnerEnv:
         direct = observe_batch(inst, cs, adv, NO_PRIVACY, np.random.default_rng(ss))
         np.testing.assert_array_equal(reports, direct[3])
 
+    @pytest.mark.parametrize("adv", [
+        AdversaryConfig(alpha=0.2, strategy="anti-optimal"),
+        AdversaryConfig(alpha=0.2, strategy="sign-flip"),
+        AdversaryConfig(alpha=0.2, strategy="anti-optimal", aggregate_corruption=True),
+        AdversaryConfig(alpha=0.2, strategy="constant", corrupt_stage="post-privacy"),
+    ], ids=["per-draw", "per-draw-sign-flip", "aggregate", "post-privacy"])
+    def test_m2_play_batch_matches_direct_call(self, adv):
+        # play_batch keeps no raw values, so under per-draw corruption it
+        # skips the client means that the mask stage recomputes, which
+        # observe_batch keeps.  The batch holds more plays than a chunk: one
+        # client larger than a chunk (a chunk inside one run) and two that
+        # share a chunk.
+        inst = basis_instance([0.8, 0.1, -0.5], noise="gaussian")
+        cs = m2_coreset([(0, PLAY_CHUNK + 3000), (1, 3000), (2, 9000)])
+        env = LearnerEnv(inst, adv, seed=np.random.SeedSequence(13))
+        reports = env.play_batch(cs, round_index=3, privacy=PrivacyParams(epsilon=1.0))
+
+        ss = np.random.SeedSequence(entropy=13, spawn_key=(3,))
+        direct = observe_batch(inst, cs, adv, PrivacyParams(epsilon=1.0),
+                               np.random.default_rng(ss))
+        np.testing.assert_array_equal(reports.view(np.uint64), direct[3].view(np.uint64))
+
     def test_rounds_use_distinct_streams(self):
         inst = basis_instance([0.8, 0.1], noise="gaussian")
         env = LearnerEnv(inst, NO_ADVERSARY, seed=np.random.SeedSequence(4))

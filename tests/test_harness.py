@@ -917,6 +917,49 @@ class TestRunSweep:
                 tmp_path / "par" / rel
             ).read_bytes(), rel
 
+    def test_manifest_is_rewritten_only_when_its_records_are_out_of_order(
+            self, tmp_path, monkeypatch):
+        # The manifest is written whole at the start, then a record is
+        # appended per finished cell, and it is rewritten in cell order at the
+        # end only when its bytes differ: never in a fresh in-process sweep,
+        # but after a pool's out-of-order completions and a resume's reruns.
+        config = small_config()
+        manifest_writes = []
+        real_write, real_run = harness.atomic_write, harness.run_cell
+
+        def recording(path, payload):
+            if os.path.basename(path) == "manifest.json":
+                manifest_writes.append(path)
+            real_write(path, payload)
+
+        def robust_0_last(cfg, variant, seed, instance=None):
+            # Forked pool workers see this too: robust_0 waits until
+            # vanilla_1, which the other worker runs, is done.
+            trace = real_run(cfg, variant, seed, instance)
+            (tmp_path / f"{variant}_{seed}.done").touch()
+            deadline = time.monotonic() + 60
+            while (variant, seed) == ("robust", 0) and time.monotonic() < deadline \
+                    and not (tmp_path / "vanilla_1.done").exists():
+                time.sleep(0.01)
+            return trace
+
+        monkeypatch.setattr(harness, "atomic_write", recording)
+        run_sweep(config, str(tmp_path / "seq"))
+        assert len(manifest_writes) == 1
+        fresh = (tmp_path / "seq" / "manifest.json").read_bytes()
+
+        monkeypatch.setattr(harness, "run_cell", robust_0_last)
+        manifest_writes.clear()
+        run_sweep(config, str(tmp_path / "par"), workers=2)
+        assert len(manifest_writes) == 2
+        assert (tmp_path / "par" / "manifest.json").read_bytes() == fresh
+
+        (tmp_path / "seq" / "traces" / "robust_1.json").unlink()
+        manifest_writes.clear()
+        run_sweep(config, str(tmp_path / "seq"), resume=True)
+        assert len(manifest_writes) == 2
+        assert (tmp_path / "seq" / "manifest.json").read_bytes() == fresh
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_every_cell_plays_the_instance_the_sweep_read(self, tmp_path, monkeypatch,
                                                            workers):

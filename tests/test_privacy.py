@@ -105,6 +105,23 @@ def test_icdf_vectorized():
     assert vals[0] == pytest.approx(-vals[2])
 
 
+def test_icdf_keeps_every_bit_of_the_two_branch_form():
+    # laplace_icdf takes one log per element; the reference is the form it
+    # replaced, with a log per branch.  The bits, sign included, must match:
+    # u = 0.5 gives -0.0, and noise = icdf * scale must not move.
+    def two_branch(u):
+        u = np.clip(u, 1e-300, 1.0 - 1e-16)
+        return np.where(u >= 0.5, -np.log(2.0 * (1.0 - u)), np.log(2.0 * u))
+
+    edges = [0.0, 0.5, np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0), 1.0 - 1e-17, 1e-320]
+    us = np.concatenate([np.random.default_rng(7).random(1 << 20), edges])
+    np.testing.assert_array_equal(laplace_icdf(us).view(np.uint64),
+                                  two_branch(us).view(np.uint64))
+    for u in edges:
+        assert np.asarray(laplace_icdf(u)).view(np.uint64) == two_branch(u).view(np.uint64)
+    assert math.copysign(1.0, laplace_icdf(0.5)) == -1.0
+
+
 def test_icdf_of_uniforms_ks():
     rng = np.random.default_rng(101)
     draws = laplace_icdf(rng.random(10**5)) * 1.5
