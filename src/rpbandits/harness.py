@@ -14,6 +14,7 @@ import hashlib
 import itertools
 import json
 import os
+import signal
 import statistics
 import sys
 import time
@@ -381,8 +382,11 @@ def run_sweep(
 
     # A pool forks all its processes at the first submit, so it gets no more
     # of them than there are cells to run, and none when no cell is left.
-    # When the sweep ends early, it drops the cells that have not started.
-    pool = (concurrent.futures.ProcessPoolExecutor(max_workers=min(workers, len(pending)))
+    # When the sweep ends early, it drops the cells that have not started;
+    # its workers ignore SIGINT, so only the main process sees a Ctrl-C.
+    pool = (concurrent.futures.ProcessPoolExecutor(
+                max_workers=min(workers, len(pending)),
+                initializer=signal.signal, initargs=(signal.SIGINT, signal.SIG_IGN))
             if workers > 1 and pending else None)
     try:
         if pool is None:

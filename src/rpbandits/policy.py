@@ -5,7 +5,9 @@ q = T^(1/B).  Each exploration round plays a coreset of a near-optimal design
 on the surviving arms, estimates the hidden parameter from the reported
 rewards, and drops every arm whose estimated mean falls more than twice the
 round threshold below the best one.  The final round commits the remaining
-budget to the arm with the best estimated mean.
+budget to the arm with the best estimated mean.  A round that would overrun
+T loses plays from its largest count first (ties: highest action index), and
+once every count is 1, whole entries go, highest index first.
 """
 
 import bisect
@@ -282,10 +284,7 @@ class RegretTrace:
 
     @property
     def chosen_arm(self) -> int | None:
-        for rec in reversed(self.rounds):
-            if rec.chosen_arm is not None:
-                return rec.chosen_arm
-        return None
+        return self.rounds[-1].chosen_arm if self.rounds else None
 
     def optimal_arm_survived(self) -> bool:
         return self.optimal_arm in self.final_active
@@ -315,25 +314,20 @@ class RegretTrace:
 
 
 def _fit_coreset_to_budget(coreset: Coreset, budget: int) -> Coreset:
-    """Trim play counts so the total fits the remaining budget.
-
-    Decrements the largest counts first (ties: highest action index), and
-    drops whole entries only when every count has reached 1.
-    """
+    """Trim play counts to the budget by the module docstring's rule, in closed
+    form: cap every count at the lowest level that covers the budget, and take
+    one more play off each of the last entries at that level."""
     if coreset.total <= budget:
         return coreset
-    entries = {idx: n for idx, n in coreset.entries}
-    total = coreset.total
-    while total > budget:
-        reducible = [(n, idx) for idx, n in entries.items() if n > 1]
-        if reducible:
-            _, idx = max(reducible)
-            entries[idx] -= 1
-        else:
-            idx = max(entries)
-            del entries[idx]
-        total -= 1
-    return replace(coreset, entries=sorted(entries.items()))
+    counts = [n for _, n in coreset.entries]
+    level = bisect.bisect_left(range(max(counts)), budget,
+                               key=lambda cap: sum(min(n, cap) for n in counts))
+    extra = sum(min(n, level) for n in counts) - budget
+    entries = [(idx, min(n, level)) for idx, n in coreset.entries]
+    at_level = [j for j, (_, n) in enumerate(entries) if n == level]
+    for j in at_level[len(at_level) - extra:]:
+        entries[j] = (entries[j][0], level - 1)
+    return replace(coreset, entries=[(idx, n) for idx, n in entries if n])
 
 
 def _clean_scale_sq(privacy: PrivacyParams, client_counts: np.ndarray) -> float:

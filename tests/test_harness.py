@@ -999,9 +999,9 @@ class TestRunSweep:
         real = concurrent.futures.ProcessPoolExecutor
         sizes = []
 
-        def recording(max_workers):
+        def recording(max_workers, **kwargs):
             sizes.append(max_workers)
-            return real(max_workers=min(max_workers, 2))
+            return real(max_workers=min(max_workers, 2), **kwargs)
 
         monkeypatch.setattr(harness.concurrent.futures, "ProcessPoolExecutor", recording)
         config = small_config(seeds=1, baselines=["vanilla", "non-robust"])
@@ -1448,28 +1448,41 @@ class TestCli:
         assert list((out / "traces").iterdir()) == []
         assert 1 <= len(started.read_bytes()) < 40
 
-    def test_interrupt_exits_130_and_the_resume_finishes(self, tmp_path):
+    @pytest.mark.parametrize("group", [False, True], ids=["main-process", "process-group"])
+    def test_interrupt_exits_130_and_the_resume_finishes(self, tmp_path, group):
         # SIGINT to a pooled run once a cell is recorded: one error line,
         # no traceback, exit 130; the resume then writes a clean sweep's files.
+        # A terminal's Ctrl-C goes to the whole process group, pool workers
+        # included.  A worker's traceback showed in some tries only, so the
+        # group case interrupts a few runs in a row, each resuming the last.
         cfg_path = tmp_path / "run.json"
         cfg_path.write_text(json.dumps(small_config(seeds=150)))
         out, fresh = tmp_path / "out", tmp_path / "fresh"
         argv = ["run", "--config", str(cfg_path), "--out", str(out), "--workers", "2"]
         src = Path(__file__).resolve().parents[1] / "src"
-        proc = subprocess.Popen(
-            [sys.executable, "-c", f"import sys\nfrom rpbandits.cli import main\n"
-                                   f"sys.exit(main({argv!r}))\n"],
-            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
-            env={**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"})
-        manifest, deadline = out / "manifest.json", time.monotonic() + 60
-        while not (manifest.exists() and b'"kind":"cell"' in manifest.read_bytes()):
-            assert proc.poll() is None and time.monotonic() < deadline
-            time.sleep(0.005)
-        proc.send_signal(signal.SIGINT)
-        _, err = proc.communicate(timeout=60)
-        assert proc.returncode == 130
-        assert err == "error: interrupted\n"
-        assert not (out / "summary.csv").exists()
+        manifest = out / "manifest.json"
+        for run in range(3 if group else 1):
+            recorded = manifest.read_bytes().count(b'"kind":"cell"') if run else 0
+            run_argv = [*argv, "--resume"] if run else argv
+            proc = subprocess.Popen(
+                [sys.executable, "-c", f"import sys\nfrom rpbandits.cli import main\n"
+                                       f"sys.exit(main({run_argv!r}))\n"],
+                stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+                start_new_session=group,
+                env={**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"})
+            deadline = time.monotonic() + 60
+            while not (manifest.exists()
+                       and manifest.read_bytes().count(b'"kind":"cell"') > recorded):
+                assert proc.poll() is None and time.monotonic() < deadline
+                time.sleep(0.005)
+            if group:
+                os.killpg(proc.pid, signal.SIGINT)
+            else:
+                proc.send_signal(signal.SIGINT)
+            _, err = proc.communicate(timeout=60)
+            assert proc.returncode == 130
+            assert err == "error: interrupted\n"
+            assert not (out / "summary.csv").exists()
         assert main([*argv, "--resume"]) == 0
         assert main(["run", "--config", str(cfg_path), "--out", str(fresh)]) == 0
         assert file_tree(out) == file_tree(fresh)

@@ -608,8 +608,54 @@ class TestEliminationRun:
         assert trace.final_regret == pytest.approx(2.0)
 
 
+def _fit_one_play_at_a_time(coreset: Coreset, budget: int) -> list[tuple[int, int]]:
+    """The trim's reference: one play per step off the largest count (ties:
+    the highest index), and once every count is 1, the highest index goes."""
+    entries = dict(coreset.entries)
+    total = coreset.total
+    while total > budget:
+        reducible = [(n, idx) for idx, n in entries.items() if n > 1]
+        if reducible:
+            _, idx = max(reducible)
+            entries[idx] -= 1
+        else:
+            del entries[max(entries)]
+        total -= 1
+    return sorted(entries.items())
+
+
+@st.composite
+def coresets_and_budgets(draw):
+    indices = sorted(draw(st.sets(st.integers(0, 40), min_size=1, max_size=12)))
+    count = st.integers(1, draw(st.sampled_from([2, 5, 60])))
+    coreset = Coreset([(idx, draw(count)) for idx in indices], draw(st.sampled_from(["M1", "M2"])))
+    return coreset, draw(st.integers(1, coreset.total + 3))
+
+
 class TestFitCoresetToBudget:
     fit = staticmethod(policy_module._fit_coreset_to_budget)
+
+    @settings(max_examples=300, deadline=None)
+    @given(coresets_and_budgets())
+    @example((Coreset([(0, 4), (3, 4), (6, 4)], "M1"), 8))   # ties at one level
+    @example((Coreset([(1, 3), (2, 7), (4, 3)], "M2"), 13))  # budget = total
+    @example((Coreset([(1, 3), (2, 7), (4, 3)], "M2"), 3))   # budget = support
+    @example((Coreset([(0, 9), (5, 1), (8, 2)], "M2"), 2))   # below support: 8 goes
+    def test_matches_one_play_at_a_time(self, case):
+        coreset, budget = case
+        fitted = self.fit(coreset, budget)
+        assert fitted.entries == _fit_one_play_at_a_time(coreset, budget)
+        assert fitted.model == coreset.model
+        assert fitted.total == min(budget, coreset.total)
+
+    def test_counts_near_10_to_the_12_trim_at_once(self):
+        # Capped at L, the total is 3L + 2 for 2 <= L <= 10^12; the lowest L
+        # that covers 2·10^12 + 1 is 666,666,666,667, which overshoots by 2,
+        # so entries 9 and 3 (the highest indices at L) give up one more play.
+        big = 10 ** 12
+        coreset = Coreset([(0, big), (3, big + 5), (7, 2), (9, big)], "M2")
+        assert self.fit(coreset, 2 * big + 1).entries == [
+            (0, 666_666_666_667), (3, 666_666_666_666), (7, 2), (9, 666_666_666_666)]
 
     def test_largest_count_goes_first_and_ties_go_to_the_highest_index(self):
         assert self.fit(Coreset([(0, 2), (2, 2)], "M1"), 3).entries == [(0, 2), (2, 1)]
