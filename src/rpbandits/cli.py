@@ -22,9 +22,11 @@ from .seeding import INT_LABELS
 
 def _parse_seeds(text: str) -> list[int] | int:
     """Either a count ("20") or an explicit comma list ("0,3,17")."""
-    if "," in text:
-        return [int(p) for p in text.split(",") if p.strip() != ""]
-    return int(text)
+    try:
+        return [int(p) for p in text.split(",") if p.strip()] if "," in text else int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"need a count or a comma list of integers, got {text!r}") from None
 
 
 def _number(kind, low: float, high: float = math.inf, source: str = ""):

@@ -314,27 +314,32 @@ def observe_batch(
 class LearnerEnv:
     """Capability-restricted handle given to the learner.
 
-    The learner sees the action set and, per play_batch call, only the
-    reported reward of each client.  Everything else (theta*, corruption
-    flags, raw rewards) stays with the environment; `oracle` is the instance
-    itself, from which the policy's regret accounting reads the optimal arm
-    and each arm's regret.  Round i's batch draws from `seed` with i
-    appended to its spawn key.
+    The learner sees the action set, the clients' privacy mechanism (the
+    one place a run sets it) and, per play_batch call, each client's
+    reported reward.  Corruption flags and raw rewards stay here; `oracle`,
+    the instance with theta*, is for the policy's regret accounting alone.
+    Round i's batch draws from `seed` with i appended to its spawn key.
     """
 
     def __init__(
         self,
         instance: BanditInstance,
         adversary: AdversaryConfig,
+        privacy: PrivacyParams,
         seed: np.random.SeedSequence,
     ):
         self._instance = instance
         self._adversary = adversary
+        self._privacy = privacy
         self._seed_seq = seed
 
     @property
     def actions(self) -> ActionSet:
         return self._instance.actions
+
+    @property
+    def privacy(self) -> PrivacyParams:
+        return self._privacy
 
     @property
     def oracle(self) -> BanditInstance:
@@ -347,12 +352,8 @@ class LearnerEnv:
         )
         return np.random.default_rng(ss)
 
-    def play_batch(
-        self,
-        coreset: Coreset,
-        round_index: int,
-        privacy: PrivacyParams,
-    ) -> np.ndarray:
+    def play_batch(self, coreset: Coreset, round_index: int) -> np.ndarray:
         """Play a coreset; returns each client's reported reward, in client order."""
         rng = self._batch_rng(round_index)
-        return _play(self._instance, coreset, self._adversary, privacy, rng, keep_raw=False)[2]
+        return _play(self._instance, coreset, self._adversary, self._privacy, rng,
+                     keep_raw=False)[2]

@@ -178,7 +178,7 @@ def _sections(config: dict, variant: str = "robust"):
                      {"enabled": False, **_section(config, "privacy", PrivacyParams)})
     if variant == "non-private":
         privacy = replace(privacy, enabled=False)
-    linked = {"model": config["model"], "epsilon": privacy.epsilon if privacy.enabled else None}
+    linked = {"model": config["model"]}
     threshold = _build(ThresholdConfig, "threshold",
                        _section(config, "threshold", ThresholdConfig, ("delta",), linked),
                        **linked)
@@ -196,7 +196,7 @@ def run_cell(config: dict, variant: str, seed: int,
     if instance is None:
         instance = resolve_instance(config)
     schedule, privacy, cfg, adversary, master = _sections(config, variant)
-    env = LearnerEnv(instance, adversary, seed_sequence(master, seed, variant, "env"))
+    env = LearnerEnv(instance, adversary, privacy, seed_sequence(master, seed, variant, "env"))
     policy_rng = rng_from(master, seed, variant, "policy")
     runner = {
         "robust": run_elimination,
@@ -204,7 +204,7 @@ def run_cell(config: dict, variant: str, seed: int,
         "vanilla": run_vanilla_elimination,
         "non-robust": run_nonrobust_elimination,
     }[variant]
-    return runner(env, schedule, cfg, privacy, policy_rng)
+    return runner(env, schedule, cfg, policy_rng)
 
 
 def trace_to_bytes(trace: RegretTrace) -> bytes:
@@ -309,10 +309,11 @@ def run_sweep(
     The cells are validate_config's variants times its seeds, in that
     order, and the result aggregates at its checkpoints.  Each finished
     cell is durably written (temp file + rename + manifest append) before
-    the sweep moves on, so a crashed sweep can be resumed with resume=True.  A cell's last manifest record decides: the resume skips it
-    when that record is ok and its trace file exists, and reruns it
-    otherwise.  Failed cells are recorded in the manifest with their error
-    and reported in the result rather than silently dropped.  The instance
+    the sweep moves on, so a crashed sweep can be resumed with resume=True.
+    A cell's last manifest record decides: the resume skips it when that
+    record is ok and its trace file exists, and reruns it otherwise.
+    Failed cells are recorded in the manifest with their error and
+    reported in the result rather than silently dropped.  The instance
     source is read once, before anything is written: a config that fails
     validation, or whose instance cannot be built, raises ConfigInvalid.
     Every cell plays that one instance (a pool gets it with each cell), so

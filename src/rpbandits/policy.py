@@ -65,10 +65,8 @@ def default_num_rounds(horizon: int) -> int:
 
 @dataclass(frozen=True)
 class ThresholdConfig:
-    """Inputs of the per-round elimination width gamma_i.
-
-    epsilon carries the privacy level into the width; None means privacy is
-    disabled and every 1/epsilon term is dropped.
+    """Inputs of the per-round elimination width gamma_i, other than the
+    privacy level, which the widths read from the env's PrivacyParams.
     """
 
     delta: float
@@ -76,7 +74,6 @@ class ThresholdConfig:
     c_gamma: float = 1.0
     nu: float | None = None
     model: str = "M1"
-    epsilon: float | None = None
 
     def __post_init__(self):
         if not (0.0 < self.delta < 1.0):
@@ -91,18 +88,17 @@ class ThresholdConfig:
             raise ValueError("nu must lie in (0, 1)")
         if self.model == "M2" and self.nu is None:
             raise ValueError("nu is required when model is M2")
-        if self.epsilon is not None and not self.epsilon > 0.0:
-            raise ValueError("epsilon must be positive when set")
 
 
-def threshold_m1(i: int, schedule: Schedule, cfg: ThresholdConfig, d: int) -> float:
+def threshold_m1(i: int, schedule: Schedule, cfg: ThresholdConfig, privacy: PrivacyParams,
+                 d: int) -> float:
     """Elimination width for round i under per-reward clients."""
     if i < 1:
         raise ValueError("round index starts at 1")
     qi = schedule.q ** i
     log_round = math.log(max(qi / cfg.delta, 1.0 + 1e-12))
     log_conf = math.log(1.0 / cfg.delta)
-    inv_eps = (1.0 / cfg.epsilon) if cfg.epsilon is not None else 0.0
+    inv_eps = (1.0 / privacy.epsilon) if privacy.enabled else 0.0
 
     corruption = (
         math.sqrt(d)
@@ -113,7 +109,8 @@ def threshold_m1(i: int, schedule: Schedule, cfg: ThresholdConfig, d: int) -> fl
     return cfg.c_gamma * (corruption + cfg.alpha + sampling)
 
 
-def threshold_m2(i: int, schedule: Schedule, cfg: ThresholdConfig, d: int, k: int) -> float:
+def threshold_m2(i: int, schedule: Schedule, cfg: ThresholdConfig, privacy: PrivacyParams,
+                 d: int, k: int) -> float:
     """Elimination width for round i under aggregating clients.
 
     k is the number of distinct actions played in the round (the design
@@ -129,7 +126,7 @@ def threshold_m2(i: int, schedule: Schedule, cfg: ThresholdConfig, d: int, k: in
     nu_m = cfg.nu * m
     log_conf = math.log(1.0 / cfg.delta)
     log_k = math.log(max(k / cfg.delta, 1.0 + 1e-12))
-    inv_eps = (1.0 / cfg.epsilon) if cfg.epsilon is not None else 0.0
+    inv_eps = (1.0 / privacy.epsilon) if privacy.enabled else 0.0
 
     sampling = math.sqrt(d * log_conf / nu_m) * (1.0 + math.sqrt(log_conf / nu_m) * inv_eps)
     corruption = (
@@ -404,7 +401,6 @@ def _run(
     env: LearnerEnv,
     schedule: Schedule,
     cfg: ThresholdConfig,
-    privacy: PrivacyParams,
     rng: np.random.Generator,
     estimator: str,
 ) -> RegretTrace:
@@ -434,7 +430,7 @@ def _run(
         coreset = replace(local, entries=[(active[j], n) for j, n in local.entries])
         coreset = _fit_coreset_to_budget(coreset, remaining)
 
-        reports = env.play_batch(coreset, i, privacy)
+        reports = env.play_batch(coreset, i)
         active_vectors = all_vectors[active]
         record = RoundRecord(
             round_index=i,
@@ -448,14 +444,14 @@ def _run(
         try:
             theta, diag, fallback = _estimate(
                 estimator, coreset, reports,
-                active_vectors, all_vectors, privacy, rng,
+                active_vectors, all_vectors, env.privacy, rng,
             )
             record.filter_diagnostics = diag
             record.filter_fallback = fallback
             if cfg.model == "M2":
-                gamma = threshold_m2(i, schedule, cfg, d, coreset.support_size)
+                gamma = threshold_m2(i, schedule, cfg, env.privacy, d, coreset.support_size)
             else:
-                gamma = threshold_m1(i, schedule, cfg, d)
+                gamma = threshold_m1(i, schedule, cfg, env.privacy, d)
             record.gamma = gamma
             record.estimate = theta
             last_estimate = theta
@@ -513,18 +509,16 @@ def run_elimination(
     env: LearnerEnv,
     schedule: Schedule,
     cfg: ThresholdConfig,
-    privacy: PrivacyParams,
     rng: np.random.Generator,
 ) -> RegretTrace:
     """Robust arm elimination over the full horizon."""
-    return _run(env, schedule, cfg, privacy, rng, estimator="robust")
+    return _run(env, schedule, cfg, rng, estimator="robust")
 
 
 def run_vanilla_elimination(
     env: LearnerEnv,
     schedule: Schedule,
     cfg: ThresholdConfig,
-    privacy: PrivacyParams,
     rng: np.random.Generator,
 ) -> RegretTrace:
     """Baseline: plain least squares and corruption-blind thresholds.
@@ -533,15 +527,14 @@ def run_vanilla_elimination(
     least squares and zeroes the corruption terms in the width.
     """
     blind = replace(cfg, alpha=0.0)
-    return _run(env, schedule, blind, privacy, rng, estimator="vanilla")
+    return _run(env, schedule, blind, rng, estimator="vanilla")
 
 
 def run_nonrobust_elimination(
     env: LearnerEnv,
     schedule: Schedule,
     cfg: ThresholdConfig,
-    privacy: PrivacyParams,
     rng: np.random.Generator,
 ) -> RegretTrace:
     """Ablation: vanilla least squares but corruption-aware widths."""
-    return _run(env, schedule, cfg, privacy, rng, estimator="vanilla")
+    return _run(env, schedule, cfg, rng, estimator="vanilla")

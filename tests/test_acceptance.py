@@ -127,8 +127,8 @@ def _mean_final_regret(instance, horizon, tag, n_seeds, adversary, thr_alpha,
     cfg = ThresholdConfig(delta=0.05, alpha=thr_alpha)
     totals = []
     for seed in range(n_seeds):
-        env = LearnerEnv(instance, adversary, seed_sequence(tag, seed, "env"))
-        trace = runner(env, sched, cfg, NO_PRIVACY, rng_from(tag, seed, "policy"))
+        env = LearnerEnv(instance, adversary, NO_PRIVACY, seed_sequence(tag, seed, "env"))
+        trace = runner(env, sched, cfg, rng_from(tag, seed, "policy"))
         totals.append(trace.final_regret)
     return float(np.mean(totals))
 
@@ -173,8 +173,8 @@ def test_criterion_06_optimal_arm_survival():
     eliminated = 0
     conditional_checks = 0
     for seed in range(100):
-        env = LearnerEnv(instance, CLEAN, seed_sequence("c6", seed, "env"))
-        trace = run_elimination(env, sched, cfg, NO_PRIVACY, rng_from("c6", seed, "policy"))
+        env = LearnerEnv(instance, CLEAN, NO_PRIVACY, seed_sequence("c6", seed, "env"))
+        trace = run_elimination(env, sched, cfg, rng_from("c6", seed, "policy"))
         if not trace.optimal_arm_survived():
             eliminated += 1
         for rec in trace.rounds[:-1]:

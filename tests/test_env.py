@@ -105,7 +105,7 @@ class TestRegretOracle:
 
     def test_oracle_exposes_hidden_state(self):
         inst = basis_instance([0.4, 0.1, -0.2])
-        oracle = LearnerEnv(inst, NO_ADVERSARY, np.random.SeedSequence(0)).oracle
+        oracle = LearnerEnv(inst, NO_ADVERSARY, NO_PRIVACY, np.random.SeedSequence(0)).oracle
         np.testing.assert_array_equal(oracle.theta_star, inst.theta_star)
         assert oracle.optimal_index == 0
         assert oracle.regrets[2] == pytest.approx(0.6)
@@ -433,9 +433,10 @@ class TestAggregatingClients:
 class TestLearnerEnv:
     def test_capability_split(self):
         inst = generate_instance(dim=3, num_actions=10, seed=2)
-        env = LearnerEnv(inst, NO_ADVERSARY, seed=np.random.SeedSequence(5))
+        env = LearnerEnv(inst, NO_ADVERSARY, NO_PRIVACY, seed=np.random.SeedSequence(5))
         assert not hasattr(env, "theta_star")
         assert not hasattr(env, "optimal_index")
+        assert env.privacy is NO_PRIVACY
         np.testing.assert_array_equal(env.actions.vectors, inst.actions.vectors)
         np.testing.assert_array_equal(env.oracle.theta_star, inst.theta_star)
 
@@ -443,8 +444,8 @@ class TestLearnerEnv:
         inst = basis_instance([0.8, 0.1], noise="gaussian")
         adv = AdversaryConfig(alpha=0.1, strategy="constant")
         cs = m1_coreset([(0, 4), (1, 3)])
-        env = LearnerEnv(inst, adv, seed=np.random.SeedSequence(7))
-        reports = env.play_batch(cs, round_index=0, privacy=NO_PRIVACY)
+        env = LearnerEnv(inst, adv, NO_PRIVACY, seed=np.random.SeedSequence(7))
+        reports = env.play_batch(cs, round_index=0)
         assert reports.shape == (7,) and reports.dtype == np.float64
         ss = np.random.SeedSequence(entropy=7, spawn_key=(0,))
         direct = observe_batch(inst, cs, adv, NO_PRIVACY, np.random.default_rng(ss))
@@ -454,8 +455,8 @@ class TestLearnerEnv:
         inst = basis_instance([0.8, 0.1], noise="gaussian")
         adv = AdversaryConfig(alpha=0.1, strategy="sign-flip")
         cs = m1_coreset([(0, 20), (1, 20)])
-        env = LearnerEnv(inst, adv, seed=np.random.SeedSequence(13))
-        reports = env.play_batch(cs, round_index=3, privacy=NO_PRIVACY)
+        env = LearnerEnv(inst, adv, NO_PRIVACY, seed=np.random.SeedSequence(13))
+        reports = env.play_batch(cs, round_index=3)
 
         ss = np.random.SeedSequence(entropy=13, spawn_key=(3,))
         direct = observe_batch(inst, cs, adv, NO_PRIVACY, np.random.default_rng(ss))
@@ -475,8 +476,8 @@ class TestLearnerEnv:
         # share a chunk.
         inst = basis_instance([0.8, 0.1, -0.5], noise="gaussian")
         cs = m2_coreset([(0, PLAY_CHUNK + 3000), (1, 3000), (2, 9000)])
-        env = LearnerEnv(inst, adv, seed=np.random.SeedSequence(13))
-        reports = env.play_batch(cs, round_index=3, privacy=PrivacyParams(epsilon=1.0))
+        env = LearnerEnv(inst, adv, PrivacyParams(epsilon=1.0), seed=np.random.SeedSequence(13))
+        reports = env.play_batch(cs, round_index=3)
 
         ss = np.random.SeedSequence(entropy=13, spawn_key=(3,))
         direct = observe_batch(inst, cs, adv, PrivacyParams(epsilon=1.0),
@@ -485,10 +486,10 @@ class TestLearnerEnv:
 
     def test_rounds_use_distinct_streams(self):
         inst = basis_instance([0.8, 0.1], noise="gaussian")
-        env = LearnerEnv(inst, NO_ADVERSARY, seed=np.random.SeedSequence(4))
+        env = LearnerEnv(inst, NO_ADVERSARY, NO_PRIVACY, seed=np.random.SeedSequence(4))
         cs = m1_coreset([(0, 10)])
-        a = env.play_batch(cs, round_index=0, privacy=NO_PRIVACY)
-        b = env.play_batch(cs, round_index=1, privacy=NO_PRIVACY)
+        a = env.play_batch(cs, round_index=0)
+        b = env.play_batch(cs, round_index=1)
         assert not np.array_equal(a, b)
 
     def test_same_seed_same_history(self):
@@ -497,9 +498,9 @@ class TestLearnerEnv:
         cs = m1_coreset([(0, 8), (4, 8), (9, 8)])
         histories = []
         for _ in range(2):
-            env = LearnerEnv(inst, adv, seed=np.random.SeedSequence(99))
+            env = LearnerEnv(inst, adv, NO_PRIVACY, seed=np.random.SeedSequence(99))
             histories.append(
-                [env.play_batch(cs, round_index=r, privacy=NO_PRIVACY) for r in range(3)]
+                [env.play_batch(cs, round_index=r) for r in range(3)]
             )
         np.testing.assert_array_equal(histories[0], histories[1])
 
@@ -507,16 +508,17 @@ class TestLearnerEnv:
         # Round i draws from the seed with i appended to its spawn key.
         inst = basis_instance([0.8, 0.1], noise="gaussian")
         cs = m1_coreset([(0, 5)])
-        env = LearnerEnv(inst, NO_ADVERSARY, seed=np.random.SeedSequence(21).spawn(2)[1])
+        env = LearnerEnv(inst, NO_ADVERSARY, NO_PRIVACY,
+                         seed=np.random.SeedSequence(21).spawn(2)[1])
         ss = np.random.SeedSequence(entropy=21, spawn_key=(1, 0))
         direct = observe_batch(inst, cs, NO_ADVERSARY, NO_PRIVACY, np.random.default_rng(ss))
-        np.testing.assert_array_equal(env.play_batch(cs, 0, NO_PRIVACY), direct[3])
+        np.testing.assert_array_equal(env.play_batch(cs, 0), direct[3])
 
     def test_m2_coreset_dispatches_to_aggregation(self):
         inst = basis_instance([0.8, 0.1, -0.5], noise="gaussian")
-        env = LearnerEnv(inst, NO_ADVERSARY, seed=np.random.SeedSequence(2))
+        env = LearnerEnv(inst, NO_ADVERSARY, NO_PRIVACY, seed=np.random.SeedSequence(2))
         cs = m2_coreset([(0, 6), (1, 6), (2, 6)])
-        reports = env.play_batch(cs, 0, NO_PRIVACY)
+        reports = env.play_batch(cs, 0)
         assert reports.shape == (3,)
         ss = np.random.SeedSequence(entropy=2, spawn_key=(0,))
         acts, raw, _, reported = observe_batch(

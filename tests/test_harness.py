@@ -31,6 +31,7 @@ from rpbandits.env import (
     NOISE_KINDS,
     STRATEGIES,
     AdversaryConfig,
+    LearnerEnv,
     generate_instance,
 )
 from rpbandits.errors import CheckpointOutOfRange, ConfigInvalid
@@ -49,6 +50,9 @@ from rpbandits.harness import (
     validate_config,
     write_summary_csv,
 )
+from rpbandits.policy import Schedule, ThresholdConfig, run_elimination
+from rpbandits.privacy import PrivacyParams
+from rpbandits.seeding import rng_from, seed_sequence
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -192,7 +196,7 @@ class TestSectionKeys:
 
     @pytest.mark.parametrize("index,section,linked", [
         (0, "schedule", ()), (1, "privacy", ()),
-        (2, "threshold", ("model", "epsilon")), (3, "adversary", ()),
+        (2, "threshold", ("model",)), (3, "adversary", ()),
     ])
     def test_keys_are_the_dataclass_fields(self, index, section, linked):
         built = harness._sections(small_config(privacy={"enabled": True}))[index]
@@ -207,6 +211,12 @@ class TestSectionKeys:
             except ConfigInvalid as exc:
                 assert f"config field {section}: {name} is not a known key" in str(exc)
         assert accepted == names - set(linked)
+
+    def test_threshold_takes_no_epsilon(self):
+        # The privacy section alone sets epsilon, for the env and the widths.
+        with pytest.raises(ConfigInvalid) as exc:
+            validate_config(small_config(threshold={"delta": 0.05, "epsilon": 1.0}))
+        assert str(exc.value) == "config field threshold: epsilon is not a known key"
 
     def test_a_new_dataclass_field_is_a_key(self, monkeypatch):
         @dataclasses.dataclass(frozen=True)
@@ -723,6 +733,29 @@ class TestRunCell:
         monkeypatch.setattr(policy, "compute_design", counting)
         assert trace_to_bytes(run_cell(config, variant, 0)) == cold
         assert computed == []
+
+    def test_library_cell_is_the_harness_cell(self):
+        # The README attack cell built through the library, with the
+        # harness's seed labels, plays the same trace as run_cell: its widths
+        # read epsilon from the env's PrivacyParams, as the harness's do.
+        instance = generate_instance(dim=5, num_actions=50, seed=11)
+        env = LearnerEnv(instance, AdversaryConfig(alpha=0.1, strategy="sign-flip"),
+                         PrivacyParams(epsilon=1.0), seed_sequence(0, 0, "robust", "env"))
+        trace = run_elimination(env, Schedule(horizon=40_000, num_rounds=11),
+                                ThresholdConfig(delta=0.05, alpha=0.1),
+                                rng_from(0, 0, "robust", "policy"))
+        config = {
+            "version": 1,
+            "instance": {"generate": {"dim": 5, "num_actions": 50, "seed": 11}},
+            "schedule": {"horizon": 40_000, "num_rounds": 11},
+            "model": "M1",
+            "adversary": {"alpha": 0.1, "strategy": "sign-flip"},
+            "privacy": {"enabled": True, "epsilon": 1.0},
+            "threshold": {"delta": 0.05, "alpha": 0.1},
+        }
+        assert trace_to_bytes(trace) == trace_to_bytes(run_cell(config, "robust", 0))
+        # Without the 1/epsilon terms round 1's width would be 4.89.
+        assert round(trace.rounds[0].gamma, 2) == 13.81
 
     def test_non_private_variant_drops_privacy(self):
         config = small_config(privacy={"enabled": True, "epsilon": 1.0})
@@ -1353,6 +1386,18 @@ class TestCli:
         rc = main(["run", "--config", str(cfg_path), "--out", str(out), "--seeds", "1,1"])
         assert rc == 2
         assert "seeds" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["abc", "1,x"])
+    def test_bad_seeds_flag_exits_2(self, tmp_path, capsys, flag):
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(small_config()))
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--config", str(cfg_path), "--out", str(out), "--seeds", flag])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            f"argument --seeds: need a count or a comma list of integers, got {flag!r}\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("flag", ["10,x", ",", "", "1.5"])

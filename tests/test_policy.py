@@ -82,8 +82,11 @@ class TestThresholdConfig:
     def test_positive_constants(self):
         with pytest.raises(ValueError):
             ThresholdConfig(delta=0.1, c_gamma=0.0)
-        with pytest.raises(ValueError):
-            ThresholdConfig(delta=0.1, epsilon=0.0)
+
+    def test_epsilon_is_not_a_threshold_field(self):
+        # The widths read epsilon from the env's PrivacyParams, which checks it.
+        with pytest.raises(TypeError, match="epsilon"):
+            ThresholdConfig(delta=0.1, epsilon=1.0)
 
     def test_aggregating_model_needs_nu(self):
         with pytest.raises(ValueError, match="nu"):
@@ -101,7 +104,7 @@ class TestThresholdM1:
     def test_golden_value(self):
         sched = Schedule(horizon=10**8, num_rounds=2)  # q^1 = 1e4
         cfg = ThresholdConfig(delta=0.01)
-        assert threshold_m1(1, sched, cfg, d=4) == pytest.approx(
+        assert threshold_m1(1, sched, cfg, NO_PRIVACY, d=4) == pytest.approx(
             0.042919320525786946, rel=1e-12
         )
 
@@ -110,41 +113,51 @@ class TestThresholdM1:
         cfg = ThresholdConfig(delta=0.05, c_gamma=1.7)
         for i in (1, 2):
             expected = 1.7 * math.sqrt(3 * math.log(20.0) / 100.0**i)
-            assert threshold_m1(i, sched, cfg, d=3) == pytest.approx(expected, rel=1e-12)
+            assert threshold_m1(i, sched, cfg, NO_PRIVACY, d=3) == pytest.approx(
+                expected, rel=1e-12)
 
     def test_decreasing_over_clean_rounds(self):
         sched = Schedule(horizon=10**6, num_rounds=10)
         cfg = ThresholdConfig(delta=0.05)
-        widths = [threshold_m1(i, sched, cfg, d=5) for i in range(1, 10)]
+        widths = [threshold_m1(i, sched, cfg, NO_PRIVACY, d=5) for i in range(1, 10)]
         assert all(a > b for a, b in zip(widths, widths[1:]))
 
     def test_corruption_floor(self):
         sched = Schedule(horizon=10**6, num_rounds=10)
         cfg = ThresholdConfig(delta=0.05, alpha=0.08, c_gamma=2.0)
         for i in range(1, 10):
-            assert threshold_m1(i, sched, cfg, d=5) >= 2.0 * 0.08
+            assert threshold_m1(i, sched, cfg, NO_PRIVACY, d=5) >= 2.0 * 0.08
 
     def test_privacy_inflates_width(self):
         sched = Schedule(horizon=10**6, num_rounds=4)
-        base = ThresholdConfig(delta=0.05, alpha=0.05)
-        loose = ThresholdConfig(delta=0.05, alpha=0.05, epsilon=1.0)
-        tight = ThresholdConfig(delta=0.05, alpha=0.05, epsilon=0.5)
-        w0 = threshold_m1(1, sched, base, d=4)
-        w1 = threshold_m1(1, sched, loose, d=4)
-        w2 = threshold_m1(1, sched, tight, d=4)
+        cfg = ThresholdConfig(delta=0.05, alpha=0.05)
+        w0 = threshold_m1(1, sched, cfg, NO_PRIVACY, d=4)
+        w1 = threshold_m1(1, sched, cfg, PrivacyParams(epsilon=1.0), d=4)
+        w2 = threshold_m1(1, sched, cfg, PrivacyParams(epsilon=0.5), d=4)
         assert w0 < w1 < w2
+
+    def test_disabled_privacy_drops_every_inverse_epsilon_term(self):
+        sched = Schedule(horizon=10**6, num_rounds=4)
+        cfg = ThresholdConfig(delta=0.05, alpha=0.05)
+        off = PrivacyParams(epsilon=0.1, enabled=False)
+        assert (threshold_m1(2, sched, cfg, off, d=4)
+                == threshold_m1(2, sched, cfg, NO_PRIVACY, d=4))
+        m2 = ThresholdConfig(delta=0.05, alpha=0.05, nu=0.1, model="M2")
+        assert (threshold_m2(2, sched, m2, off, d=4, k=6)
+                == threshold_m2(2, sched, m2, NO_PRIVACY, d=4, k=6))
 
     def test_round_index_starts_at_one(self):
         sched = Schedule(horizon=100, num_rounds=2)
         with pytest.raises(ValueError):
-            threshold_m1(0, sched, ThresholdConfig(delta=0.1), d=2)
+            threshold_m1(0, sched, ThresholdConfig(delta=0.1), NO_PRIVACY, d=2)
 
 
 class TestThresholdM2:
     def test_golden_value(self):
         sched = Schedule(horizon=10**8, num_rounds=2)  # m = 1e4
-        cfg = ThresholdConfig(delta=0.01, alpha=0.05, nu=0.01, model="M2", epsilon=1.0)
-        assert threshold_m2(1, sched, cfg, d=5, k=12) == pytest.approx(
+        cfg = ThresholdConfig(delta=0.01, alpha=0.05, nu=0.01, model="M2")
+        eps_1 = PrivacyParams(epsilon=1.0)
+        assert threshold_m2(1, sched, cfg, eps_1, d=5, k=12) == pytest.approx(
             17.40698100404376, rel=1e-12
         )
 
@@ -152,26 +165,28 @@ class TestThresholdM2:
         sched = Schedule(horizon=10**8, num_rounds=2)
         cfg = ThresholdConfig(delta=0.01, nu=0.02, model="M2")
         expected = math.sqrt(6 * math.log(100.0) / (0.02 * 10**4))
-        assert threshold_m2(1, sched, cfg, d=6, k=9) == pytest.approx(expected, rel=1e-12)
+        assert threshold_m2(1, sched, cfg, NO_PRIVACY, d=6, k=9) == pytest.approx(
+            expected, rel=1e-12)
 
     def test_budget_doubling_shrinks_sampling(self):
         cfg = ThresholdConfig(delta=0.01, nu=0.05, model="M2")
-        small = threshold_m2(1, Schedule(10**8, 2), cfg, d=4, k=8)  # m = 1e4
-        large = threshold_m2(1, Schedule(4 * 10**8, 2), cfg, d=4, k=8)  # m = 2e4
+        small = threshold_m2(1, Schedule(10**8, 2), cfg, NO_PRIVACY, d=4, k=8)  # m = 1e4
+        large = threshold_m2(1, Schedule(4 * 10**8, 2), cfg, NO_PRIVACY, d=4, k=8)  # m = 2e4
         assert small / large == pytest.approx(math.sqrt(2.0), rel=1e-12)
 
     def test_rounds_past_schedule_reuse_last_budget(self):
         sched = Schedule(horizon=10**8, num_rounds=2)
         cfg = ThresholdConfig(delta=0.01, alpha=0.02, nu=0.01, model="M2")
-        assert threshold_m2(5, sched, cfg, d=3, k=7) == threshold_m2(1, sched, cfg, d=3, k=7)
+        assert (threshold_m2(5, sched, cfg, NO_PRIVACY, d=3, k=7)
+                == threshold_m2(1, sched, cfg, NO_PRIVACY, d=3, k=7))
 
     def test_validation(self):
         sched = Schedule(horizon=100, num_rounds=2)
         cfg = ThresholdConfig(delta=0.1, nu=0.1, model="M2")
         with pytest.raises(ValueError):
-            threshold_m2(0, sched, cfg, d=2, k=3)
+            threshold_m2(0, sched, cfg, NO_PRIVACY, d=2, k=3)
         with pytest.raises(ValueError):
-            threshold_m2(1, sched, cfg, d=2, k=0)
+            threshold_m2(1, sched, cfg, NO_PRIVACY, d=2, k=0)
 
 
 def make_trace():
@@ -412,10 +427,10 @@ class TestEliminationRun:
             theta_star=np.array([0.7, 0.0]),
             actions=ActionSet(np.array([[1.0, 0.0]])),
         )
-        env = LearnerEnv(inst, CLEAN, seed=np.random.SeedSequence(1))
+        env = LearnerEnv(inst, CLEAN, NO_PRIVACY, seed=np.random.SeedSequence(1))
         trace = run_elimination(
             env, Schedule(horizon=500, num_rounds=4),
-            ThresholdConfig(delta=0.05), NO_PRIVACY, rng=rng_from("policy-filter", 1),
+            ThresholdConfig(delta=0.05), rng=rng_from("policy-filter", 1),
         )
         assert trace.total_plays == 500
         assert trace.final_regret == 0.0
@@ -432,10 +447,10 @@ class TestEliminationRun:
         inst = BanditInstance(
             theta_star=np.array([0.9, 0.1]), actions=ActionSet(np.eye(2)), noise="zero"
         )
-        env = LearnerEnv(inst, CLEAN, seed=np.random.SeedSequence(2))
+        env = LearnerEnv(inst, CLEAN, NO_PRIVACY, seed=np.random.SeedSequence(2))
         trace = run_elimination(
             env, Schedule(horizon=100, num_rounds=2),
-            ThresholdConfig(delta=0.05, c_gamma=1e-9), NO_PRIVACY,
+            ThresholdConfig(delta=0.05, c_gamma=1e-9),
             rng=rng_from("policy-filter", 2),
         )
         first = trace.rounds[0]
@@ -449,10 +464,10 @@ class TestEliminationRun:
 
     def test_invariants_on_generated_instance(self):
         inst = generate_instance(dim=3, num_actions=15, seed=5)
-        env = LearnerEnv(inst, CLEAN, seed=np.random.SeedSequence(5))
+        env = LearnerEnv(inst, CLEAN, NO_PRIVACY, seed=np.random.SeedSequence(5))
         trace = run_elimination(
             env, Schedule(horizon=3000, num_rounds=5),
-            ThresholdConfig(delta=0.05), NO_PRIVACY, rng=rng_from("policy-filter", 5),
+            ThresholdConfig(delta=0.05), rng=rng_from("policy-filter", 5),
         )
         assert trace.total_plays == 3000
         assert trace.rounds[-1].cumulative_plays == 3000
@@ -467,10 +482,10 @@ class TestEliminationRun:
 
     def test_recorded_rule_reproduces_survivors(self):
         inst = generate_instance(dim=4, num_actions=20, seed=8)
-        env = LearnerEnv(inst, CLEAN, seed=np.random.SeedSequence(8))
+        env = LearnerEnv(inst, CLEAN, NO_PRIVACY, seed=np.random.SeedSequence(8))
         trace = run_elimination(
             env, Schedule(horizon=4000, num_rounds=5),
-            ThresholdConfig(delta=0.05), NO_PRIVACY, rng=rng_from("policy-filter", 8),
+            ThresholdConfig(delta=0.05), rng=rng_from("policy-filter", 8),
         )
         vectors = inst.actions.vectors
         checked = 0
@@ -492,11 +507,11 @@ class TestEliminationRun:
         sched = Schedule(horizon=2000, num_rounds=4)
         cfg = ThresholdConfig(delta=0.05)
         robust = run_elimination(
-            LearnerEnv(inst, CLEAN, seed=np.random.SeedSequence(11)), sched, cfg, NO_PRIVACY,
+            LearnerEnv(inst, CLEAN, NO_PRIVACY, seed=np.random.SeedSequence(11)), sched, cfg,
             rng=rng_from("policy-filter", 11),
         )
         vanilla = run_vanilla_elimination(
-            LearnerEnv(inst, CLEAN, seed=np.random.SeedSequence(11)), sched, cfg, NO_PRIVACY,
+            LearnerEnv(inst, CLEAN, NO_PRIVACY, seed=np.random.SeedSequence(11)), sched, cfg,
             rng=rng_from("policy-filter", 11),
         )
         assert robust.segments == vanilla.segments
@@ -514,15 +529,15 @@ class TestEliminationRun:
         cfg = ThresholdConfig(delta=0.05, alpha=0.1)
         adv = AdversaryConfig(alpha=0.1, strategy="constant", magnitude=20.0)
         vanilla = run_vanilla_elimination(
-            LearnerEnv(inst, adv, seed=np.random.SeedSequence(14)), sched, cfg, NO_PRIVACY,
+            LearnerEnv(inst, adv, NO_PRIVACY, seed=np.random.SeedSequence(14)), sched, cfg,
             rng=rng_from("policy-filter", 14),
         )
         nonrobust = run_nonrobust_elimination(
-            LearnerEnv(inst, adv, seed=np.random.SeedSequence(14)), sched, cfg, NO_PRIVACY,
+            LearnerEnv(inst, adv, NO_PRIVACY, seed=np.random.SeedSequence(14)), sched, cfg,
             rng=rng_from("policy-filter", 14),
         )
         robust = run_elimination(
-            LearnerEnv(inst, adv, seed=np.random.SeedSequence(14)), sched, cfg, NO_PRIVACY,
+            LearnerEnv(inst, adv, NO_PRIVACY, seed=np.random.SeedSequence(14)), sched, cfg,
             rng=rng_from("policy-filter", 14),
         )
         assert vanilla.rounds[0].gamma < nonrobust.rounds[0].gamma
@@ -538,18 +553,18 @@ class TestEliminationRun:
         cfg = ThresholdConfig(delta=0.05, alpha=0.15)
         dumps = []
         for _ in range(2):
-            env = LearnerEnv(inst, adv, seed=np.random.SeedSequence(33))
-            trace = run_elimination(env, sched, cfg, NO_PRIVACY, rng=rng_from("policy-filter", 33))
+            env = LearnerEnv(inst, adv, NO_PRIVACY, seed=np.random.SeedSequence(33))
+            trace = run_elimination(env, sched, cfg, rng=rng_from("policy-filter", 33))
             dumps.append(json.dumps(trace.to_json_dict(), sort_keys=True))
         assert dumps[0] == dumps[1]
 
     def test_run_trace_survives_json_round_trip(self):
         inst = generate_instance(dim=3, num_actions=10, seed=2)
-        env = LearnerEnv(inst, AdversaryConfig(alpha=0.1, strategy="sign-flip"),
+        env = LearnerEnv(inst, AdversaryConfig(alpha=0.1, strategy="sign-flip"), NO_PRIVACY,
                          seed=np.random.SeedSequence(2))
         trace = run_elimination(
             env, Schedule(horizon=800, num_rounds=3),
-            ThresholdConfig(delta=0.05, alpha=0.1), NO_PRIVACY, rng=rng_from("policy-filter", 2),
+            ThresholdConfig(delta=0.05, alpha=0.1), rng=rng_from("policy-filter", 2),
         )
         back = RegretTrace.from_json_dict(trace.to_json_dict())
         assert json.dumps(back.to_json_dict(), sort_keys=True) == json.dumps(
@@ -567,10 +582,10 @@ class TestEliminationRun:
 
         monkeypatch.setattr(policy_module, "robust_least_squares", explode)
         inst = generate_instance(dim=3, num_actions=10, seed=6)
-        env = LearnerEnv(inst, CLEAN, seed=np.random.SeedSequence(6))
+        env = LearnerEnv(inst, CLEAN, NO_PRIVACY, seed=np.random.SeedSequence(6))
         trace = run_elimination(
             env, Schedule(horizon=500, num_rounds=3),
-            ThresholdConfig(delta=0.05), NO_PRIVACY, rng=rng_from("policy-filter", 6),
+            ThresholdConfig(delta=0.05), rng=rng_from("policy-filter", 6),
         )
         exploration = trace.rounds[:-1]
         assert exploration
@@ -588,10 +603,10 @@ class TestEliminationRun:
             theta_star=np.array([0.9, 0.3, 0.1]), actions=ActionSet(np.eye(3)),
             noise="zero",
         )
-        env = LearnerEnv(inst, CLEAN, seed=np.random.SeedSequence(3))
+        env = LearnerEnv(inst, CLEAN, NO_PRIVACY, seed=np.random.SeedSequence(3))
         trace = run_elimination(
             env, Schedule(horizon=5, num_rounds=3),
-            ThresholdConfig(delta=0.1, c_gamma=100.0), NO_PRIVACY,
+            ThresholdConfig(delta=0.1, c_gamma=100.0),
             rng=rng_from("policy-filter", 3),
         )
         assert len(trace.rounds) == 3
@@ -681,9 +696,10 @@ class TestFitCoresetToBudget:
 
         monkeypatch.setattr(policy_module, "_fit_coreset_to_budget", spy)
         trace = run_elimination(
-            LearnerEnv(generate_instance(2, 3, 0), CLEAN, seed=np.random.SeedSequence(0)),
+            LearnerEnv(generate_instance(2, 3, 0), CLEAN, NO_PRIVACY,
+                       seed=np.random.SeedSequence(0)),
             Schedule(horizon=5, num_rounds=3), ThresholdConfig(delta=0.05),
-            NO_PRIVACY, rng=rng_from("policy-filter", 0),
+            rng=rng_from("policy-filter", 0),
         )
         assert calls[1] == ([(0, 2), (2, 2)], 3, [(0, 2), (2, 1)])
         assert trace.rounds[1].coreset_entries == [(0, 2), (2, 1)]
