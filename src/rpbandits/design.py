@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import FailsToConverge, OutOfSpan
 
@@ -127,6 +128,25 @@ class ActionSet:
         return cls(arr)
 
 
+def eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """np.linalg.eigh(a) of a symmetric float64 matrix, bit for bit:
+    ascending eigenvalues and eigenvectors as columns, from the lower
+    triangle.
+
+    It calls the LAPACK gufunc np.linalg.eigh calls and skips the wrapper,
+    which costs as much as the solve on small matrices.  A failed solve
+    comes back as NaN, and so can a NaN input that LAPACK does not fail on;
+    a NaN top eigenvalue goes through np.linalg.eigh, which raises
+    LinAlgError on the failure.  Floating-point flags of the first call
+    (invalid on a failure, divide by zero on some infinite inputs) are
+    reported as numpy's errstate says; np.linalg.eigh silences them.
+    """
+    evals, evecs = _umath_linalg.eigh_lo(a, signature="d->dd")
+    if evals[-1] != evals[-1]:
+        return np.linalg.eigh(a)
+    return evals, evecs
+
+
 def span_leverages(vecs: np.ndarray,
                    gram: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Row-wise <a, gram^+ a> restricted to the span of gram, from one eigh.
@@ -138,7 +158,7 @@ def span_leverages(vecs: np.ndarray,
     gram is numerically zero, or when a row has a component orthogonal to
     the span larger than SPAN_TOL * max(1, ||a||).
     """
-    evals, evecs = np.linalg.eigh(gram)
+    evals, evecs = eigh(gram)
     cutoff = max(float(evals[-1]) * EIG_FLOOR, 1e-300)
     keep = evals > cutoff
     if not keep.any():

@@ -364,6 +364,7 @@ def run_sweep(
     pending = [cell for cell, rec in records.items()
                if not (rec and rec["status"] == "ok"
                        and os.path.exists(os.path.join(out_dir, rec["path"])))]
+    kept: dict[tuple[str, int], RegretTrace] = {}  # the traces of the cells this call ran
 
     def finish(cell: tuple[str, int], payload: bytes | None, error: str | None):
         variant, seed = cell
@@ -390,8 +391,9 @@ def run_sweep(
                 initializer=signal.signal, initargs=(signal.SIGINT, signal.SIG_IGN))
             if workers > 1 and pending else None)
     try:
+        # A cell run here yields its trace, a pooled one its trace's bytes.
         if pool is None:
-            jobs = ((cell, functools.partial(_cell_bytes, config, *cell, instance))
+            jobs = ((cell, functools.partial(run_cell, config, *cell, instance))
                     for cell in pending)
         else:
             futs = {pool.submit(_cell_bytes, config, *cell, instance): cell for cell in pending}
@@ -400,10 +402,16 @@ def run_sweep(
         # ends the sweep (BanditError, exit 2).
         for cell, thunk in jobs:
             try:
-                payload, error = thunk(), None
+                out, error = thunk(), None
+                payload = out if pool is not None else trace_to_bytes(out)
             except Exception as exc:  # noqa: BLE001 - recorded, not dropped
                 payload, error = None, f"{type(exc).__name__}: {exc}"
             finish(cell, payload, error)
+            if error is None:
+                # As load_sweep would read it back; a pooled cell's is parsed
+                # while the workers run on.
+                kept[cell] = (RegretTrace.from_json_dict(json.loads(payload))
+                              if pool is not None else _as_written(out))
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
@@ -411,13 +419,22 @@ def run_sweep(
     # Rewritten in cell order, so reruns of a finished sweep compare byte for
     # byte; a pool's completion order or a resume's reruns can leave another.
     rewrite_manifest()
-    result = _sweep_result(out_dir, config, records, variants, seeds, checkpoints)
+    result = _sweep_result(out_dir, config, records, variants, seeds, checkpoints, kept)
     result.wall_clock_s = time.monotonic() - started
     return result
 
 
 def _cell_bytes(config: dict, variant: str, seed: int, instance: BanditInstance) -> bytes:
     return trace_to_bytes(run_cell(config, variant, seed, instance))
+
+
+def _as_written(trace: RegretTrace) -> RegretTrace:
+    """trace without the removed indices its file drops, so that a sweep
+    holds no per-removal list of any cell."""
+    for rec in trace.rounds:
+        if rec.filter_diagnostics is not None:
+            rec.filter_diagnostics = replace(rec.filter_diagnostics, removed_indices=())
+    return trace
 
 
 # The keys and JSON types of a manifest's records, and the keys each needs.
@@ -472,25 +489,32 @@ def _read_manifest(path: str) -> tuple[dict | None, dict[tuple[str, int], dict]]
 
 
 def _sweep_result(out_dir: str, config: dict, records: dict, variants: list[str],
-                  seeds: list[int], checkpoints: list[int]) -> SweepResult:
+                  seeds: list[int], checkpoints: list[int],
+                  kept: dict[tuple[str, int], RegretTrace] | None = None) -> SweepResult:
     """Load and aggregate the config's cells whose last manifest record is ok.
 
     Only those count, in (variant, seed) order; a record of any other cell
     is ignored, and a trace file left over from an earlier run of a cell
-    that has since failed is stale.  An ok cell whose trace file is missing
-    or is not a trace raises ConfigInvalid.
+    that has since failed is stale.  A cell in `kept` takes the trace kept
+    there; any other ok cell's is read from its file, and a file that is
+    missing or is not a trace raises ConfigInvalid.
     """
     cells = [records[c] for c in itertools.product(variants, seeds) if records.get(c)]
     traces: dict[tuple[str, int], RegretTrace] = {}
+    kept = kept or {}
     for cell in cells:
-        if cell["status"] == "ok":
-            path = os.path.join(out_dir, cell["path"])
-            try:
-                with open(path) as fh:
-                    trace = RegretTrace.from_json_dict(json.load(fh))
-            except (OSError, ValueError, KeyError, TypeError) as exc:
-                raise ConfigInvalid(f"no trace in {path}: {type(exc).__name__}: {exc}") from exc
-            traces[(cell["variant"], cell["seed"])] = trace
+        if cell["status"] != "ok":
+            continue
+        key = (cell["variant"], cell["seed"])
+        if key in kept:
+            traces[key] = kept[key]
+            continue
+        path = os.path.join(out_dir, cell["path"])
+        try:
+            with open(path) as fh:
+                traces[key] = RegretTrace.from_json_dict(json.load(fh))
+        except (OSError, ValueError, KeyError, TypeError) as exc:
+            raise ConfigInvalid(f"no trace in {path}: {type(exc).__name__}: {exc}") from exc
     stats, survival = _aggregate(traces, variants, seeds, checkpoints)
     return SweepResult(
         out_dir=out_dir, config=config, variants=variants, seeds=seeds,

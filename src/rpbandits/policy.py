@@ -457,7 +457,7 @@ def _run(
             last_estimate = theta
             scores = active_vectors @ theta
             cutoff = float(np.max(scores)) - 2.0 * gamma
-            survivors = [active[j] for j in range(len(active)) if scores[j] >= cutoff]
+            survivors = [active[j] for j in np.flatnonzero(scores >= cutoff).tolist()]
             record.active_after = survivors
             active = survivors
         except OutOfSpan:

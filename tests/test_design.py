@@ -16,6 +16,7 @@ from rpbandits.design import (
     build_coreset,
     column_norms,
     compute_design,
+    eigh,
     pivoted_qr,
     span_leverages,
 )
@@ -76,6 +77,60 @@ def test_action_set_subset():
     sub = acts.subset([0, 2])
     assert sub.count == 2
     assert np.array_equal(sub.vectors, np.eye(4)[[0, 2]])
+
+
+# ------------------------------------------------------------------- eigh
+
+
+def symmetric_cases(seed, p):
+    """Symmetric p x p matrices: a random one, one with a repeated top and a
+    repeated bottom eigenvalue, a rank-one one, the identity and zero."""
+    r = np.random.default_rng((seed, p))
+    a = r.normal(size=(p, p))
+    q, _ = np.linalg.qr(r.normal(size=(p, p)))
+    spectrum = np.sort(r.normal(size=p))
+    spectrum[: p // 3] = spectrum[0]
+    spectrum[-(p // 2 or 1):] = spectrum[-1]
+    u = r.normal(size=p)
+    return [a + a.T, (q * spectrum) @ q.T, np.outer(u, u), np.eye(p), np.zeros((p, p))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 20))
+def test_eigh_is_numpys_eigh_bit_for_bit(seed, p):
+    for a in symmetric_cases(seed, p):
+        evals, evecs = eigh(a)
+        want_vals, want_vecs = np.linalg.eigh(a)
+        assert evals.tobytes() == want_vals.tobytes()
+        assert evecs.tobytes() == want_vecs.tobytes()
+        assert evecs.shape == want_vecs.shape and evecs.strides == want_vecs.strides
+
+
+def outcome(fn, a):
+    try:
+        evals, evecs = fn(a)
+    except np.linalg.LinAlgError as exc:
+        return "raised", str(exc)
+    return "returned", evals.tobytes(), evecs.tobytes()
+
+
+# The gufunc reports the flags LAPACK's failure raises as numpy's errstate
+# says, and np.linalg.eigh silences them.
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("p", [1, 2, 3, 8])
+@pytest.mark.parametrize("where", ["diagonal", "lower", "upper", "everywhere", "inf"])
+def test_eigh_raises_where_numpys_eigh_does(p, where):
+    # With numpy 2.4.6's LAPACK a NaN below the diagonal fails the solve for
+    # p >= 3, and numpy raises; for p <= 2 LAPACK returns NaN without failing,
+    # and numpy does not raise.  A NaN above the diagonal is never read.
+    a = symmetric_cases(5, p)[0]
+    index = {"diagonal": (0, 0), "lower": (p - 1, 0), "upper": (0, p - 1),
+             "everywhere": (slice(None), slice(None)), "inf": (p - 1, 0)}[where]
+    a[index] = np.inf if where == "inf" else np.nan
+    got, want = outcome(eigh, a), outcome(np.linalg.eigh, a)
+    assert got == want
+    if where == "lower" and p >= 3:
+        assert want[0] == "raised"
 
 
 # -------------------------------------------------- leverages (span_leverages)

@@ -5,6 +5,7 @@ import concurrent.futures
 import contextlib
 import dataclasses
 import errno
+import itertools
 import json
 import os
 import re
@@ -1168,6 +1169,60 @@ class TestRunSweep:
         assert loaded.stats == ran.stats
         assert loaded.survival == ran.survival
         assert loaded.failures == []
+
+
+ATTACKED_CONFIG = small_config(
+    instance={"generate": {"dim": 3, "num_actions": 10, "seed": 5}},
+    schedule={"horizon": 3000},
+    adversary={"alpha": 0.1, "strategy": "anti-optimal", "magnitude": 50.0},
+    threshold={"delta": 0.05, "alpha": 0.1},
+    baselines=["vanilla", "non-robust"],
+)
+
+
+class TestKeptTraces:
+    """A sweep keeps the traces of the cells it ran, parsing a pooled cell's
+    bytes, and reads from disk only the cells it did not run."""
+
+    @pytest.mark.parametrize("how", ["fresh", "workers-2", "resume"])
+    def test_result_is_the_loaded_sweep(self, tmp_path, monkeypatch, how):
+        out = tmp_path / "s"
+        if how == "resume":
+            run_sweep(ATTACKED_CONFIG, str(out))
+            # Drop the last two cell records: the resume reruns those cells.
+            manifest = out / "manifest.json"
+            manifest.write_bytes(b"".join(manifest.read_bytes().splitlines(keepends=True)[:-2]))
+        opened = []
+        real_open = open
+
+        def spy(path, mode="r", *args, **kwargs):
+            if mode == "r":
+                opened.append(os.path.relpath(path, out))
+            return real_open(path, mode, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "open", spy, raising=False)
+        result = run_sweep(ATTACKED_CONFIG, str(out), workers=2 if how == "workers-2" else 1,
+                           resume=how == "resume")
+        monkeypatch.undo()
+        cells = list(itertools.product(result.variants, result.seeds))
+        assert opened == ([f"traces/{v}_{s}.json" for v, s in cells[:-2]]
+                          if how == "resume" else [])
+
+        loaded = load_sweep(str(out))
+        assert sorted(result.traces) == sorted(loaded.traces) == sorted(cells)
+        assert summarize(result) == summarize(loaded)
+        assert (result.stats, result.survival) == (loaded.stats, loaded.survival)
+        emit_plotdata(result, str(tmp_path / "kept.csv"))
+        emit_plotdata(loaded, str(tmp_path / "loaded.csv"))
+        assert (tmp_path / "kept.csv").read_bytes() == (tmp_path / "loaded.csv").read_bytes()
+        for (variant, seed), trace in result.traces.items():
+            assert trace_to_bytes(trace) == (out / "traces" / f"{variant}_{seed}.json").read_bytes()
+
+        # A kept trace holds no per-removal list, as its file holds none.
+        diags = [rec.filter_diagnostics for trace in result.traces.values()
+                 for rec in trace.rounds if rec.filter_diagnostics is not None]
+        assert sum(d.removed_count for d in diags) > 100
+        assert all(d.removed_indices == () for d in diags)
 
 
 class TestSummaries:

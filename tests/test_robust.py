@@ -1,14 +1,20 @@
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rpbandits.design import ActionSet, build_coreset, compute_design
 from rpbandits.env import generate_instance
 from rpbandits.errors import OutOfSpan, TooManyRemoved
 from rpbandits.robust import (
     DEFAULT_CLEAN_SCALE_SQ,
+    ZERO_COV_TOL,
+    FilterDiagnostics,
+    _runs,
     _search,
     _top_eigenpair,
     robust_least_squares,
@@ -176,6 +182,136 @@ def test_filter_runs_match_single_points():
     assert diag_r.final_top_eigenvalue == pytest.approx(diag_p.final_top_eigenvalue,
                                                         rel=1e-12)
     assert np.allclose(mean_r, mean_p, rtol=0.0, atol=1e-12)
+
+
+def _filter_gathering_survivors(weights, rows, lengths, lam, rng):
+    """The filter's reference: an alive mask over all points, whose removal
+    gathers the picked run's survivors and re-sums its moments from them."""
+    coef, sizes, w, starts = _runs(rows, lengths, weights)
+    n = w.size
+    root_cnt = np.sqrt(sizes)
+    wsum = np.add.reduceat(w, starts)
+    wbar = wsum / sizes
+    dev = w - np.repeat(wbar, sizes)
+    m2 = np.add.reduceat(dev * dev, starts)
+    within = coef * np.sqrt(m2)[:, None]
+    centres = coef * wbar[:, None]
+    scale = float((m2 + wsum * wbar) @ np.einsum("ij,ij->i", coef, coef)) / n
+    max_removed = int(np.ceil(n / 2))
+    alive = np.ones(n, dtype=bool)
+    removed_order = []
+    removed = 0
+    iterations = 0
+    while True:
+        iterations += 1
+        m = n - removed
+        mean = (wsum @ coef) / m
+        between = (centres - mean) * root_cnt[:, None]
+        cov = (within.T @ within + between.T @ between) / m
+        evals, evecs = np.linalg.eigh(cov)
+        mu, v = float(evals[-1]), evecs[:, -1]
+        if mu < 4.0 * lam or mu <= ZERO_COV_TOL * max(1.0, scale):
+            break
+        if removed + 1 > max_removed:
+            raise TooManyRemoved(
+                f"filter would remove more than {max_removed} of {n} points",
+                diagnostics=FilterDiagnostics(removed_count=removed,
+                                              final_top_eigenvalue=mu,
+                                              iterations=iterations,
+                                              removed_indices=tuple(removed_order)),
+            )
+        cum = ((within @ v) ** 2 + (between @ v) ** 2).cumsum()
+        u = rng.random() * float(cum[-1])
+        b = _search(cum, u)
+        lo, hi = starts[b], starts[b] + sizes[b]
+        members = lo + alive[lo:hi].nonzero()[0]
+        proj = w[members] * float(coef[b] @ v) - float(mean @ v)
+        u_in_run = u - cum[b - 1] if b else u
+        pick = int(members[_search((proj * proj).cumsum(), u_in_run)])
+        alive[pick] = False
+        removed_order.append(pick)
+        removed += 1
+        survivors = w[lo:hi][alive[lo:hi]]
+        wsum[b] = survivors.sum()
+        wbar_b = wsum[b] / survivors.size if survivors.size else 0.0
+        root_cnt[b] = math.sqrt(survivors.size)
+        within[b] = coef[b] * math.sqrt(float(((survivors - wbar_b) ** 2).sum()))
+        centres[b] = coef[b] * wbar_b
+    diag = FilterDiagnostics(removed_count=removed, final_top_eigenvalue=mu,
+                             iterations=iterations, removed_indices=tuple(removed_order))
+    return (coef * wsum[:, None]).sum(axis=0) / m, diag
+
+
+def filter_outcome(fn, weights, rows, lengths, lam, seed):
+    """What a filter returns or raises, in bytes where it is an array, and
+    the state its rng is left in."""
+    rng = np.random.default_rng(seed)
+    try:
+        mean, diag = fn(weights, rows, lengths, lam, rng)
+        result = ("returned", mean.tobytes(), diag)
+    except TooManyRemoved as exc:
+        result = ("raised", str(exc), exc.diagnostics)
+    return result, rng.bit_generator.state
+
+
+@st.composite
+def filter_inputs(draw):
+    """Runs on random rows of R^p: Gaussian weights, a share of them moved
+    to one outlying value, and runs of length 1 (M2's) or longer (M1's)."""
+    k, p = draw(st.integers(1, 6)), draw(st.integers(1, 5))
+    longest = draw(st.sampled_from([1, 4, 60]))
+    lengths = np.array(draw(st.lists(st.integers(1, longest), min_size=k, max_size=k)))
+    r = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = r.normal(size=(k, p))
+    weights = r.normal(size=lengths.sum())
+    share = draw(st.sampled_from([0.0, 0.1, 0.4]))
+    weights[r.random(weights.size) < share] = draw(st.sampled_from([5.0, 50.0]))
+    lam = draw(st.sampled_from([0.0, 1e-3, 0.3, 2.0]))
+    return weights, rows, lengths, lam, draw(st.integers(0, 2**32 - 1))
+
+
+# Edge cases, each of which the reference is checked to reach below.
+ONE_RUN_OF_EQUAL_POINTS = (np.full(7, 2.0), np.array([[1.0, -1.0]]), np.array([7]), 0.0, 1)
+TWO_FAR_CLUSTERS = (np.concatenate([np.zeros(10), np.full(10, 1000.0)]), np.eye(2),
+                    np.array([10, 10]), 1e-3, 3)
+TWO_OUTLIERS_IN_A_RUN = (np.concatenate([np.random.default_rng(4).normal(size=40), [90.0, 95.0]]),
+                         np.eye(2), np.array([40, 2]), 0.5, 5)
+EDGE_CASES = {
+    "zero-covariance": ONE_RUN_OF_EQUAL_POINTS,
+    "removal-cap": TWO_FAR_CLUSTERS,
+    "run-emptied": TWO_OUTLIERS_IN_A_RUN,
+    # Nine single points on one row, one of them far out: with lam = 0 the
+    # filter stops only at zero covariance, once that one is gone.
+    "lam-0-runs-of-one": (np.where(np.arange(9) == 4, 5.0, 1.0), np.tile([0.6, 0.8], (9, 1)),
+                          np.ones(9, dtype=int), 0.0, 8),
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(filter_inputs())
+@example(ONE_RUN_OF_EQUAL_POINTS)
+@example(TWO_FAR_CLUSTERS)
+@example(TWO_OUTLIERS_IN_A_RUN)
+@example(EDGE_CASES["lam-0-runs-of-one"])
+def test_filter_is_the_gathering_filter_bit_for_bit(case):
+    # The estimate's bytes, the diagnostics (removed indices, iterations and
+    # the final eigenvalue with ==), a TooManyRemoved's diagnostics and the
+    # rng's state after the call.
+    assert (filter_outcome(spectral_filter, *case)
+            == filter_outcome(_filter_gathering_survivors, *case))
+
+
+@pytest.mark.parametrize("name", EDGE_CASES)
+def test_filter_edge_cases_are_reached(name):
+    (kind, _, diag), _ = filter_outcome(spectral_filter, *EDGE_CASES[name])
+    if name == "zero-covariance":
+        assert kind == "returned" and diag.iterations == 1
+    elif name == "removal-cap":
+        assert kind == "raised" and diag.removed_count == 10
+    elif name == "run-emptied":
+        assert kind == "returned" and {40, 41} <= set(diag.removed_indices)
+    else:
+        assert kind == "returned" and diag.removed_indices == (4,)
 
 
 # ------------------------------------------------------------- _top_eigenpair
