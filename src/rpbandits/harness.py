@@ -318,7 +318,10 @@ def run_sweep(
     validation, or whose instance cannot be built, raises ConfigInvalid.
     Every cell plays that one instance (a pool gets it with each cell), so
     a `file` instance edited or deleted during or after the run changes
-    nothing in it; load_sweep never reads the instance.
+    nothing in it; load_sweep never reads the instance.  With workers > 1
+    each pool worker returns its cell's trace, and this process writes
+    every trace file and the manifest; the result holds the traces of the
+    cells this call ran and reads only the other ok cells' from disk.
     """
     variants, seeds, checkpoints = validate_config(config)
     try:
@@ -391,27 +394,24 @@ def run_sweep(
                 initializer=signal.signal, initargs=(signal.SIGINT, signal.SIG_IGN))
             if workers > 1 and pending else None)
     try:
-        # A cell run here yields its trace, a pooled one its trace's bytes.
+        # Every cell runs _cell_trace, here or pickled back from a worker.
         if pool is None:
-            jobs = ((cell, functools.partial(run_cell, config, *cell, instance))
+            jobs = ((cell, functools.partial(_cell_trace, config, *cell, instance))
                     for cell in pending)
         else:
-            futs = {pool.submit(_cell_bytes, config, *cell, instance): cell for cell in pending}
+            futs = {pool.submit(_cell_trace, config, *cell, instance): cell for cell in pending}
             jobs = ((futs[fut], fut.result) for fut in concurrent.futures.as_completed(futs))
         # Only the cell's own run can fail it; a file that cannot be written
         # ends the sweep (BanditError, exit 2).
         for cell, thunk in jobs:
             try:
-                out, error = thunk(), None
-                payload = out if pool is not None else trace_to_bytes(out)
+                trace = thunk()
+                payload, error = trace_to_bytes(trace), None
             except Exception as exc:  # noqa: BLE001 - recorded, not dropped
                 payload, error = None, f"{type(exc).__name__}: {exc}"
             finish(cell, payload, error)
             if error is None:
-                # As load_sweep would read it back; a pooled cell's is parsed
-                # while the workers run on.
-                kept[cell] = (RegretTrace.from_json_dict(json.loads(payload))
-                              if pool is not None else _as_written(out))
+                kept[cell] = trace
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
@@ -424,17 +424,10 @@ def run_sweep(
     return result
 
 
-def _cell_bytes(config: dict, variant: str, seed: int, instance: BanditInstance) -> bytes:
-    return trace_to_bytes(run_cell(config, variant, seed, instance))
-
-
-def _as_written(trace: RegretTrace) -> RegretTrace:
-    """trace without the removed indices its file drops, so that a sweep
-    holds no per-removal list of any cell."""
-    for rec in trace.rounds:
-        if rec.filter_diagnostics is not None:
-            rec.filter_diagnostics = replace(rec.filter_diagnostics, removed_indices=())
-    return trace
+def _cell_trace(config: dict, variant: str, seed: int, instance: BanditInstance) -> RegretTrace:
+    # run_cell is looked up where the cell runs, so a wrapper or patch set
+    # on this module before the pool forks is the one its workers call.
+    return run_cell(config, variant, seed, instance)
 
 
 # The keys and JSON types of a manifest's records, and the keys each needs.

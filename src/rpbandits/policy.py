@@ -431,7 +431,7 @@ def _run(
         coreset = _fit_coreset_to_budget(coreset, remaining)
 
         reports = env.play_batch(coreset, i)
-        active_vectors = all_vectors[active]
+        active_vectors = sub.vectors
         record = RoundRecord(
             round_index=i,
             active_before=list(active),
@@ -446,7 +446,8 @@ def _run(
                 estimator, coreset, reports,
                 active_vectors, all_vectors, env.privacy, rng,
             )
-            record.filter_diagnostics = diag
+            # Without the removed indices, which a trace file does not hold.
+            record.filter_diagnostics = diag and replace(diag, removed_indices=())
             record.filter_fallback = fallback
             if cfg.model == "M2":
                 gamma = threshold_m2(i, schedule, cfg, env.privacy, d, coreset.support_size)

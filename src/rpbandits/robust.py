@@ -40,16 +40,6 @@ class FilterDiagnostics:
     removed_indices: tuple[int, ...] = ()
 
 
-def _top_eigenpair(cov: np.ndarray) -> tuple[float, np.ndarray]:
-    """Largest eigenvalue of a symmetric matrix and a unit eigenvector for it.
-
-    One dense `eigh`; with a repeated top eigenvalue the vector is some unit
-    vector of that eigenspace.
-    """
-    evals, evecs = eigh(cov)
-    return float(evals[-1]), evecs[:, -1]
-
-
 def _search(cum: np.ndarray, u: float) -> int:
     """`searchsorted(cum, u, side="right")` over a cumsum of nonnegative
     scores, held to the last entry with a positive score when rounding
@@ -146,7 +136,7 @@ def spectral_filter(
     max_removed = int(np.ceil(n / 2))
     # Run b's surviving weights and their input indices, in input order, are
     # the first count[b] entries of its slice in vals and index.
-    vals, index = w.copy(), np.arange(n)
+    vals, index = w.copy(), np.arange(n, dtype=np.min_scalar_type(n))
     count, first = sizes.tolist(), starts.tolist()
     k, p = coef.shape
     # Work buffers, written in place: the mean, the between-run rows, the two
@@ -172,7 +162,10 @@ def spectral_filter(
         np.matmul(between.T, between, out=scatter)
         cov += scatter
         cov /= m
-        mu, v = _top_eigenpair(cov)
+        # The top eigenpair: with a repeated top eigenvalue, v is some unit
+        # vector of its eigenspace.
+        evals, evecs = eigh(cov)
+        mu, v = float(evals[-1]), evecs[:, -1]
         if mu < 4.0 * lam or mu <= ZERO_COV_TOL * max(1.0, scale):
             break
         if removed + 1 > max_removed:

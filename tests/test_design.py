@@ -133,6 +133,36 @@ def test_eigh_raises_where_numpys_eigh_does(p, where):
         assert want[0] == "raised"
 
 
+# The filter reads the top eigenpair off eigh's last eigenvalue and column.
+
+
+def assert_top_eigenpair(cov, expected_mu, eigenspace):
+    evals, evecs = eigh(np.asarray(cov, dtype=float))
+    mu, v = evals[-1], evecs[:, -1]
+    assert isinstance(mu, float)
+    assert mu == pytest.approx(expected_mu, abs=1e-12)
+    assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
+    basis = np.asarray(eigenspace, dtype=float)
+    # v lies in the span of the given orthonormal eigenspace columns
+    assert np.linalg.norm(v - basis @ (basis.T @ v)) <= 1e-12
+
+
+def test_top_eigenpair_zero_matrix():
+    assert_top_eigenpair(np.zeros((3, 3)), 0.0, np.eye(3))
+
+
+def test_top_eigenpair_diagonal():
+    assert_top_eigenpair(np.diag([1.0, 3.0, 2.0]), 3.0, np.eye(3)[:, [1]])
+
+
+def test_top_eigenpair_repeated_top_eigenvalue():
+    assert_top_eigenpair(np.diag([5.0, 1.0, 5.0]), 5.0, np.eye(3)[:, [0, 2]])
+
+
+def test_top_eigenpair_one_by_one():
+    assert_top_eigenpair([[2.5]], 2.5, [[1.0]])
+
+
 # -------------------------------------------------- leverages (span_leverages)
 
 

@@ -1181,8 +1181,25 @@ ATTACKED_CONFIG = small_config(
 
 
 class TestKeptTraces:
-    """A sweep keeps the traces of the cells it ran, parsing a pooled cell's
-    bytes, and reads from disk only the cells it did not run."""
+    """A sweep keeps the traces of the cells it ran, a pooled cell's as its
+    worker returned it, and reads from disk only the cells it did not run;
+    the main process serialises and writes every trace."""
+
+    def test_traces_are_serialised_once_in_the_main_process(self, tmp_path, monkeypatch):
+        # Forked pool workers inherit the patch, so a call in a worker would
+        # append that worker's pid.
+        calls = tmp_path / "calls"
+        real = harness.trace_to_bytes
+
+        def recording(trace):
+            with open(calls, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return real(trace)
+
+        monkeypatch.setattr(harness, "trace_to_bytes", recording)
+        result = run_sweep(ATTACKED_CONFIG, str(tmp_path / "s"), workers=2)
+        cells = len(result.variants) * len(result.seeds)
+        assert calls.read_text().split() == [str(os.getpid())] * cells
 
     @pytest.mark.parametrize("how", ["fresh", "workers-2", "resume"])
     def test_result_is_the_loaded_sweep(self, tmp_path, monkeypatch, how):

@@ -16,7 +16,6 @@ from rpbandits.robust import (
     FilterDiagnostics,
     _runs,
     _search,
-    _top_eigenpair,
     robust_least_squares,
     spectral_filter,
     vanilla_least_squares,
@@ -312,35 +311,6 @@ def test_filter_edge_cases_are_reached(name):
         assert kind == "returned" and {40, 41} <= set(diag.removed_indices)
     else:
         assert kind == "returned" and diag.removed_indices == (4,)
-
-
-# ------------------------------------------------------------- _top_eigenpair
-
-
-def assert_top_eigenpair(cov, expected_mu, eigenspace):
-    mu, v = _top_eigenpair(np.asarray(cov, dtype=float))
-    assert isinstance(mu, float)
-    assert mu == pytest.approx(expected_mu, abs=1e-12)
-    assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
-    basis = np.asarray(eigenspace, dtype=float)
-    # v lies in the span of the given orthonormal eigenspace columns
-    assert np.linalg.norm(v - basis @ (basis.T @ v)) <= 1e-12
-
-
-def test_top_eigenpair_zero_matrix():
-    assert_top_eigenpair(np.zeros((3, 3)), 0.0, np.eye(3))
-
-
-def test_top_eigenpair_diagonal():
-    assert_top_eigenpair(np.diag([1.0, 3.0, 2.0]), 3.0, np.eye(3)[:, [1]])
-
-
-def test_top_eigenpair_repeated_top_eigenvalue():
-    assert_top_eigenpair(np.diag([5.0, 1.0, 5.0]), 5.0, np.eye(3)[:, [0, 2]])
-
-
-def test_top_eigenpair_one_by_one():
-    assert_top_eigenpair([[2.5]], 2.5, [[1.0]])
 
 
 def test_filter_golden_removal_stream():
