@@ -21,6 +21,7 @@ import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 from types import MappingProxyType
+from typing import get_args
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -63,16 +64,27 @@ def is_real(value) -> bool:
     return is_int(value) or isinstance(value, (float, np.floating))
 
 
-def json_fields(data, required: tuple, optional: tuple = ()) -> None:
-    """Raise TypeError unless `data` is a JSON object, and ValueError naming
-    a key unless it has every required key and no key outside the two sets."""
+_TYPE_NAMES = {int: "an integer", float: "a number", bool: "a boolean", str: "a string",
+               list: "an array", dict: "an object", type(None): "null"}
+
+
+def json_object_error(data, kinds: dict, required: tuple = ()) -> tuple[str, str] | None:
+    """None if `data` is a JSON object with every required key, no key
+    outside `kinds`, and each value of its annotation's JSON type (`X | None`
+    is X or null; a bool is no number and 2.0 no integer).  Otherwise the
+    first problem, as (key, message), with key "" for the object itself."""
     if not isinstance(data, dict):
-        raise TypeError(f"need a JSON object, got {type(data).__name__}")
+        return "", f"need a JSON object, got {type(data).__name__}"
     missing = [key for key in required if key not in data]
-    unknown = sorted(set(data) - {*required, *optional})
+    unknown = sorted(set(data) - set(kinds))
     if missing or unknown:
-        key = (missing or unknown)[0]
-        raise ValueError(f"{key} is {'required' if missing else 'not a known key'}")
+        return "", f"{(missing or unknown)[0]} is {'required' if missing else 'not a known key'}"
+    for key, value in data.items():
+        options = get_args(kinds[key]) or (kinds[key],)
+        if not any(is_int(value) if kind is int else is_real(value) if kind is float
+                   else isinstance(value, kind) for kind in options):
+            return key, f"{value!r} is not " + " or ".join(_TYPE_NAMES[kind] for kind in options)
+    return None
 
 
 def json_reals(value, name: str) -> np.ndarray:
@@ -119,9 +131,9 @@ class ActionSet:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ActionSet":
-        json_fields(data, ("dim", "actions"))
-        if not is_int(data["dim"]):
-            raise TypeError(f"dim must be an integer, got {data['dim']!r}")
+        error = json_object_error(data, {"dim": int, "actions": list}, ("dim", "actions"))
+        if error is not None:
+            raise ValueError(": ".join(filter(None, error)))
         arr = json_reals(data["actions"], "actions")
         if arr.ndim != 2 or arr.shape[1] != data["dim"]:
             raise ValueError("action set JSON has inconsistent dimensions")

@@ -34,9 +34,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .design import ActionSet, Coreset, is_int, is_real, json_fields, json_reals
+from .design import ActionSet, Coreset, is_real, json_object_error, json_reals
 from .privacy import PrivacyParams, laplace_icdf, laplace_scale
-from .seeding import INT_LABEL_BITS, INT_LABELS, derive_entropy
+from .seeding import INT_LABEL_BITS, INT_LABELS, rng_from
 
 NOISE_KINDS = ("gaussian", "uniform", "zero")
 STRATEGIES = ("none", "constant", "large-positive", "sign-flip", "anti-optimal")
@@ -90,7 +90,10 @@ class BanditInstance:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "BanditInstance":
-        json_fields(data, ("theta_star", "actions"), ("noise",))
+        error = json_object_error(data, {"theta_star": list, "actions": dict, "noise": str},
+                                  ("theta_star", "actions"))
+        if error is not None:
+            raise ValueError(": ".join(filter(None, error)))
         return cls(
             theta_star=json_reals(data["theta_star"], "theta_star"),
             actions=ActionSet.from_json_dict(data["actions"]),
@@ -106,15 +109,12 @@ def generate_instance(
     theta_norm: float = 1.0,
 ) -> BanditInstance:
     """Random instance: uniform unit-sphere actions and a random theta*."""
-    for name, value in (("dim", dim), ("num_actions", num_actions), ("seed", seed)):
-        if not is_int(value):
-            raise TypeError(f"{name} must be an integer, got {value!r}")
     if seed not in INT_LABELS:
         raise ValueError(f"seed must lie in [-2^{INT_LABEL_BITS - 1}, 2^{INT_LABEL_BITS - 1}), "
                          f"got {seed}")
     if not (is_real(theta_norm) and 0.0 <= theta_norm <= 1.0):
         raise ValueError("theta_norm must be a number in [0, 1]")
-    rng = np.random.default_rng(np.random.SeedSequence(derive_entropy("instance", seed)))
+    rng = rng_from("instance", seed)
     acts = rng.standard_normal((num_actions, dim))
     acts /= np.linalg.norm(acts, axis=1, keepdims=True)
     acts *= 1.0 - 1e-12

@@ -11,6 +11,7 @@ import concurrent.futures
 import contextlib
 import functools
 import hashlib
+import inspect
 import itertools
 import json
 import os
@@ -19,11 +20,10 @@ import statistics
 import sys
 import time
 from dataclasses import dataclass, fields, replace
-from typing import get_args
 
 import numpy as np
 
-from .design import is_int, is_real, json_fields
+from .design import is_int, json_object_error
 from .env import AdversaryConfig, BanditInstance, LearnerEnv, generate_instance
 from .errors import BanditError, ConfigInvalid
 from .policy import (
@@ -52,8 +52,6 @@ CONFIG_KEYS = {"version": float, "instance": dict, "schedule": dict, "model": st
                "master_seed": int, "baselines": list, "checkpoints": list}
 REQUIRED_KEYS = ("version", "instance", "schedule", "model", "threshold")
 INSTANCE_SOURCES = {"file": str, "inline": dict, "generate": dict}
-_TYPE_NAMES = {int: "an integer", float: "a number", bool: "a boolean", str: "a string",
-               list: "an array", dict: "an object", type(None): "null"}
 _SEEDS = f"integers in [-2^{INT_LABEL_BITS - 1}, 2^{INT_LABEL_BITS - 1})"
 
 
@@ -61,26 +59,9 @@ def _invalid(path: str, message: str) -> ConfigInvalid:
     return ConfigInvalid(f"config field {path or '<root>'}: {message}")
 
 
-def _object_error(data, kinds: dict, required: tuple = ()) -> tuple[str, str] | None:
-    """None if `data` is a JSON object with every required key, no key
-    outside `kinds`, and each value of its annotation's JSON type (`X | None`
-    is X or null; a bool is no number and 2.0 no integer).  Otherwise the
-    first problem, as (key, message), with key "" for the object itself."""
-    try:
-        json_fields(data, required, tuple(kinds))
-    except (TypeError, ValueError) as exc:
-        return "", str(exc)
-    for key, value in data.items():
-        options = get_args(kinds[key]) or (kinds[key],)
-        if not any(is_int(value) if kind is int else is_real(value) if kind is float
-                   else isinstance(value, kind) for kind in options):
-            return key, f"{value!r} is not " + " or ".join(_TYPE_NAMES[kind] for kind in options)
-    return None
-
-
 def _check_object(path: str, data, kinds: dict, required: tuple = ()) -> None:
-    """Raise ConfigInvalid with the field path of _object_error's problem."""
-    error = _object_error(data, kinds, required)
+    """Raise ConfigInvalid with the field path of json_object_error's problem."""
+    error = json_object_error(data, kinds, required)
     if error is not None:
         key, message = error
         raise _invalid(f"{path}/{key}".strip("/"), message)
@@ -131,15 +112,17 @@ def config_hash(config: dict) -> str:
 
 
 def resolve_instance(config: dict, base_dir: str | None = None) -> BanditInstance:
+    """The config's instance; `generate`'s arguments are checked like a
+    section, against generate_instance's parameters and annotations."""
     source = config["instance"]
     if "inline" in source:
         return BanditInstance.from_json_dict(source["inline"])
     if "file" in source:
-        path = source["file"]
-        if base_dir is not None and not os.path.isabs(path):
-            path = os.path.join(base_dir, path)
-        with open(path) as fh:
+        with open(os.path.join(base_dir or "", source["file"])) as fh:
             return BanditInstance.from_json_dict(json.load(fh))
+    params = inspect.signature(generate_instance).parameters.values()
+    _check_object("instance/generate", source["generate"], {p.name: p.annotation for p in params},
+                  tuple(p.name for p in params if p.default is p.empty))
     return generate_instance(**source["generate"])
 
 
@@ -326,6 +309,8 @@ def run_sweep(
     variants, seeds, checkpoints = validate_config(config)
     try:
         instance = resolve_instance(config, base_dir)
+    except ConfigInvalid:
+        raise
     except (OSError, TypeError, ValueError) as exc:
         source = next(iter(config["instance"]))
         raise ConfigInvalid(f"config field instance/{source}: {exc}") from exc
@@ -369,22 +354,6 @@ def run_sweep(
                        and os.path.exists(os.path.join(out_dir, rec["path"])))]
     kept: dict[tuple[str, int], RegretTrace] = {}  # the traces of the cells this call ran
 
-    def finish(cell: tuple[str, int], payload: bytes | None, error: str | None):
-        variant, seed = cell
-        rec = {"kind": "cell", "variant": variant, "seed": seed}
-        if error is None:
-            rec.update(status="ok", path=os.path.join("traces", _trace_filename(variant, seed)))
-            atomic_write(os.path.join(out_dir, rec["path"]), payload)
-        else:
-            rec.update(status="error", error=error)
-        line = _canonical_json(rec) + b"\n"
-        with writing(manifest_path), open(manifest_path, "ab") as fh:
-            fh.write(line)
-            fh.flush()
-            os.fsync(fh.fileno())
-        written.append(line)
-        records[cell] = rec
-
     # A pool forks all its processes at the first submit, so it gets no more
     # of them than there are cells to run, and none when no cell is left.
     # When the sweep ends early, it drops the cells that have not started;
@@ -404,13 +373,25 @@ def run_sweep(
         # Only the cell's own run can fail it; a file that cannot be written
         # ends the sweep (BanditError, exit 2).
         for cell, thunk in jobs:
+            variant, seed = cell
+            rec = {"kind": "cell", "variant": variant, "seed": seed}
             try:
                 trace = thunk()
-                payload, error = trace_to_bytes(trace), None
+                payload = trace_to_bytes(trace)
             except Exception as exc:  # noqa: BLE001 - recorded, not dropped
-                payload, error = None, f"{type(exc).__name__}: {exc}"
-            finish(cell, payload, error)
-            if error is None:
+                rec.update(status="error", error=f"{type(exc).__name__}: {exc}")
+            else:
+                rec.update(status="ok",
+                           path=os.path.join("traces", _trace_filename(variant, seed)))
+                atomic_write(os.path.join(out_dir, rec["path"]), payload)
+            line = _canonical_json(rec) + b"\n"
+            with writing(manifest_path), open(manifest_path, "ab") as fh:
+                fh.write(line)
+                fh.flush()
+                os.fsync(fh.fileno())
+            written.append(line)
+            records[cell] = rec
+            if rec["status"] == "ok":
                 kept[cell] = trace
     finally:
         if pool is not None:
@@ -469,11 +450,10 @@ def _read_manifest(path: str) -> tuple[dict | None, dict[tuple[str, int], dict]]
             kinds, required = MANIFEST_KEYS[kind]
             if kind == "cell":
                 required += ("path",) if rec.get("status") == "ok" else ("error",)
-            error = _object_error(rec, kinds, required)
+            error = json_object_error(rec, kinds, required)
             if error is not None:
-                key, message = error
                 raise ConfigInvalid(f"{path} line {number} is not a manifest record: "
-                                    f"{key + ': ' if key else ''}{message}")
+                                    + ": ".join(filter(None, error)))
             if kind == "header":
                 header = rec
             else:

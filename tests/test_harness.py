@@ -255,6 +255,11 @@ class TestResolveInstance:
         direct = generate_instance(dim=2, num_actions=6, seed=3)
         np.testing.assert_array_equal(inst.theta_star, direct.theta_star)
         np.testing.assert_array_equal(inst.actions.vectors, direct.actions.vectors)
+        # Its arguments are checked as in a sweep, also when a cell resolves them.
+        config = small_config(instance={"generate": {"dim": 2, "num_actions": 6, "seed": 3,
+                                                     "foo": 1}})
+        with pytest.raises(ConfigInvalid, match="^config field instance/generate: foo is not"):
+            run_cell(config, "robust", 0)
 
     def test_inline_source(self):
         direct = generate_instance(dim=2, num_actions=4, seed=1)
@@ -568,6 +573,13 @@ MALFORMED = [
                  id="instance=two-sources"),
 ]
 
+# The exact message of some rows; generate_instance's own call never shows.
+MALFORMED_MESSAGES = {
+    "instance/generate/extra=1": "config field instance/generate: extra is not a known key",
+    "instance/generate/seed=missing": "config field instance/generate: seed is required",
+    "instance/generate/dim=2.0": "config field instance/generate/dim: 2.0 is not an integer",
+}
+
 # Edge values that are admitted and run.
 ADMITTED = [
     row("privacy/clip", None), row("threshold/nu", 0.1, model="M2"),
@@ -596,6 +608,8 @@ class TestMalformedConfig:
         # value.  The one linked rule names another field.
         edited_path = request.node.callspec.id.split("=")[0]
         named = re.match(r"config field (\S+):", str(exc.value)).group(1)
+        assert str(exc.value) == MALFORMED_MESSAGES.get(request.node.callspec.id, str(exc.value))
+        assert "generate_instance(" not in str(exc.value)
         if request.node.callspec.id == 'model="M2"':
             assert named == "threshold/nu"
         elif named != "<root>":
